@@ -31,7 +31,6 @@ from .generators import (
     GraphSource,
     clique_graph,
     cycle_graph,
-    generate,
     gnp,
     random_tree,
     star_graph,
@@ -44,13 +43,7 @@ from .graph import (
     write_edge_list,
 )
 from .reference import ExactResult, clique_optimum, exact_solve, greedy_tss
-from .solver import (
-    Case,
-    ResidualState,
-    SolverReport,
-    check_residual_consistency,
-    tss_solve,
-)
+from .solver import Case, SolverReport, tss_solve
 from .thresholds import (
     assign_thresholds,
     check_thresholds,
@@ -72,7 +65,6 @@ __all__ = [
     "ExactResult",
     "Graph",
     "GraphSource",
-    "ResidualState",
     "SolverReport",
     "VerifyOutcome",
     "activation_closure",
@@ -80,7 +72,6 @@ __all__ = [
     "bound_new",
     "bound_old",
     "check_bound_dominance",
-    "check_residual_consistency",
     "check_thresholds",
     "clique_graph",
     "clique_optimum",
@@ -91,7 +82,6 @@ __all__ = [
     "derive_seed",
     "exact_solve",
     "format_trace",
-    "generate",
     "gnp",
     "greedy_tss",
     "is_connected",

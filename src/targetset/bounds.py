@@ -47,16 +47,6 @@ class BoundReport:
             ]
         )
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                f"{float(self.bound_new):.6g}",
-                f"{float(self.bound_old):.6g}",
-                str(self.tss_size),
-                str(self.applicable).lower(),
-            ]
-        )
-
 
 def bound_new(g: Graph, t: Sequence[int]) -> Fraction:
     """The sharper upper bound, as an exact rational."""
@@ -92,7 +82,8 @@ def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:
     ``applicable`` is true iff every connected component has at least 3
     vertices (for a connected graph: n >= 3).  When applicable, the report
     asserts bound_new <= bound_old and |target set| <= bound_new, comparing
-    exact rationals.  Inapplicable graphs skip the assertions.
+    exact rationals and raises ``AssertionError`` (also under ``python -O``)
+    when either fails.  Inapplicable graphs skip the checks.
     """
     bn = bound_new(g, t)
     bo = bound_old(g, t)
@@ -100,8 +91,10 @@ def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:
     v2_size = sum(1 for nbrs in g.adjacency if len(nbrs) >= 2)
     applicable = g.n >= 3 and all(len(c) >= 3 for c in connected_components(g))
     if applicable:
-        assert bn <= bo, f"sharper bound {bn} exceeds older bound {bo}"
-        assert report.size <= bn, f"target set size {report.size} exceeds bound {bn}"
+        if not bn <= bo:
+            raise AssertionError(f"sharper bound {bn} exceeds older bound {bo}")
+        if not report.size <= bn:
+            raise AssertionError(f"target set size {report.size} exceeds bound {bn}")
     return BoundReport(
         bound_new=bn,
         bound_old=bo,

@@ -19,10 +19,9 @@ EXIT_INPUT = 1
 EXIT_BUG = 3
 
 
-def _add_graph_args(p: argparse.ArgumentParser, gen_required: bool = False):
+def _add_graph_args(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group(required=True)
-    if not gen_required:
-        group.add_argument("--edges", metavar="FILE", help="edge-list file to load")
+    group.add_argument("--edges", metavar="FILE", help="edge-list file to load")
     group.add_argument(
         "--gen",
         metavar="SPEC",
@@ -73,8 +72,7 @@ def _cmd_solve(args) -> int:
         report = None
         solution = result.witness
     if not is_target_set(g, t, solution):
-        print("BUG: emitted set failed target-set verification", file=sys.stderr)
-        return EXIT_BUG
+        raise AssertionError("emitted set failed target-set verification")
     print(f"algorithm {args.alg}")
     print(f"n {g.n}")
     print(f"m {g.m}")
@@ -141,10 +139,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    src = GraphSource.parse(args.gen)
-    if src.seed is None and args.seed is not None:
-        src = src.with_seed(args.seed)
-    g = src.build()
+    g = _build_graph(args)
     if args.out == "-":
         write_edge_list(g, sys.stdout)
     else:
@@ -209,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"BUG: {exc}", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -126,13 +126,34 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def _read_text(source) -> str:
+def _read_int_pairs(source: str | Path | bytes | IO, expected: str) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(lineno, a, b)`` for each data line of two-integer text.
+
+    ``source`` is a path, bytes, or an open text or binary stream.  Blank
+    lines and lines starting with ``#`` or ``%`` are skipped.  Any other line
+    must hold exactly two integer tokens; otherwise ``ValueError`` names the
+    line number, with ``expected`` describing the wanted shape.
+    """
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode() if isinstance(data, bytes) else data
-    if isinstance(source, bytes):
-        return source.decode()
-    return Path(source).read_text()
+        text = data.decode() if isinstance(data, bytes) else data
+    elif isinstance(source, bytes):
+        text = source.decode()
+    else:
+        text = Path(source).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
+        try:
+            a = int(parts[0])
+            b = int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed integer token in {raw!r}") from None
+        yield lineno, a, b
 
 
 def load_edge_list(source: str | Path | bytes | IO) -> Graph:
@@ -148,21 +169,9 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
         ValueError: on a malformed line (message carries the line number) or
             when the input contains no vertices at all.
     """
-    text = _read_text(source)
     ids: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integer tokens, got {raw!r}")
-        try:
-            a = int(parts[0])
-            b = int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed integer token in {raw!r}") from None
+    for _, a, b in _read_int_pairs(source, "two integer tokens"):
         if a not in ids:
             ids[a] = len(ids)
         if b not in ids:

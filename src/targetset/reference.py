@@ -275,7 +275,8 @@ def exact_solve(
         witness=tuple(sorted(witness)),
         subsets_examined=examined,
     )
-    assert is_target_set(g, t, result.witness)
+    if not is_target_set(g, t, result.witness):
+        raise AssertionError("exact witness is not a target set")
     return result
 
 

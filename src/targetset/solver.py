@@ -23,7 +23,7 @@ returned set is always a valid target set, found in O(m log n) time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Sequence
@@ -38,26 +38,6 @@ class Case(IntEnum):
     ACTIVATED = 1  # residual threshold hit zero
     SEEDED = 2  # fewer alive neighbors than residual threshold
     DISCARDED = 3  # ranked out by the selection ratio
-
-
-@dataclass
-class ResidualState:
-    """Live view of the shrinking graph during a solve.
-
-    ``delta[v]`` equals v's degree in the subgraph induced by the alive
-    vertices at every step; ``k[v]`` stays nonnegative; seeded vertices are
-    never alive.  Alive neighborhoods are implicit: the alive entries of the
-    original adjacency lists.
-    """
-
-    alive: list[bool]
-    delta: list[int]
-    k: list[int]
-    target: list[int] = field(default_factory=list)
-
-    @classmethod
-    def initial(cls, g: Graph, t: Sequence[int]) -> "ResidualState":
-        return cls(alive=[True] * g.n, delta=g.degrees, k=list(t))
 
 
 @dataclass(frozen=True)
@@ -85,41 +65,19 @@ class SolverReport:
         )
 
 
-def check_residual_consistency(state: ResidualState, g: Graph) -> bool:
-    """True iff every alive vertex's residual degree matches its degree in
-    the subgraph induced by the alive set (and no residual threshold went
-    negative).  Returns False at the first offending vertex."""
-    alive = state.alive
-    for v in range(g.n):
-        if not alive[v]:
-            continue
-        if state.k[v] < 0:
-            return False
-        d = 0
-        for u in g.neighbors(v):
-            if alive[u]:
-                d += 1
-        if d != state.delta[v]:
-            return False
-    return True
-
-
-def tss_solve(g: Graph, t: Sequence[int], *, check_consistency: bool = False) -> SolverReport:
+def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
     """Run the elimination solver; exactly n iterations, one removal each.
 
-    Deterministic for a fixed input under the documented tie-breaks.  With
-    ``check_consistency`` the residual state is re-derived from the graph
-    after every removal (debugging aid; quadratic).
+    Deterministic for a fixed input under the documented tie-breaks.
     """
     check_thresholds(g, t)
     start = time.perf_counter()
     n = g.n
     adj = g.adjacency
-    state = ResidualState.initial(g, t)
-    alive = state.alive
-    delta = state.delta
-    k = state.k
-    target = state.target
+    alive = [True] * n
+    delta = g.degrees
+    k = list(t)
+    target: list[int] = []
 
     # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
     # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
@@ -187,48 +145,36 @@ def tss_solve(g: Graph, t: Sequence[int], *, check_consistency: bool = False) ->
         order.append((v, case))
         counts[case - 1] += 1
 
-        if case is Case.DISCARDED:
-            # Thresholds untouched; alive neighbors only lose a degree.  No
-            # alive vertex has k = 0 or delta < k when this branch runs, so
-            # each neighbor either stays ranked or becomes newly deficient.
-            for u in adj[v]:
-                if alive[u]:
-                    du = delta[u] - 1
-                    delta[u] = du
-                    ku = k[u]
-                    if du < ku:
-                        heappush(heap_deficient, -(ku * n + u))
-                    else:
-                        s = ku * scale // (du * (du + 1))
-                        heappush(heap_ranked, -((s * kspan + ku) * n + u))
-        else:
-            if case is Case.SEEDED:
-                target.append(v)
-            for u in adj[v]:
-                if alive[u]:
-                    du = delta[u] - 1
-                    delta[u] = du
-                    ku = k[u]
-                    if ku > 0:
-                        ku -= 1
-                        k[u] = ku
-                        if ku == 0:
-                            heappush(heap_zero, u)
-                        elif du < ku:
-                            heappush(heap_deficient, -(ku * n + u))
-                        else:
-                            s = ku * scale // (du * (du + 1))
-                            heappush(heap_ranked, -((s * kspan + ku) * n + u))
-                    elif case is Case.SEEDED:
-                        # A seeded removal decrements without clamping; that
-                        # is only reachable for k >= 1 neighbors because a
-                        # k = 0 vertex would have been picked first.
-                        raise AssertionError("residual threshold would go negative")
-                    # k stays clamped at 0 under ACTIVATED; the existing
+        if case is Case.SEEDED:
+            target.append(v)
+        # ACTIVATED and SEEDED drop each alive neighbor's k by one; DISCARDED
+        # leaves thresholds untouched.  Every alive neighbor loses a degree.
+        drops = case is not Case.DISCARDED
+        for u in adj[v]:
+            if not alive[u]:
+                continue
+            du = delta[u] - 1
+            delta[u] = du
+            ku = k[u]
+            if drops:
+                if ku == 0:
+                    # A k = 0 vertex wins case 1 before any SEEDED removal, so
+                    # only ACTIVATED meets one: k stays clamped at 0 and its
                     # case-1 queue entry is still valid.
-
-        if check_consistency and not check_residual_consistency(state, g):
-            raise AssertionError(f"residual state inconsistent after removing vertex {v}")
+                    if case is Case.SEEDED:
+                        raise AssertionError("residual threshold would go negative")
+                    continue
+                ku -= 1
+                k[u] = ku
+                if ku == 0:
+                    heappush(heap_zero, u)
+                    continue
+            # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
+            if du < ku:
+                heappush(heap_deficient, -(ku * n + u))
+            else:
+                s = ku * scale // (du * (du + 1))
+                heappush(heap_ranked, -((s * kspan + ku) * n + u))
 
     assert len(target) == counts[1]
     elapsed = time.perf_counter() - start

@@ -11,13 +11,15 @@ import random
 from pathlib import Path
 from typing import IO, Sequence
 
-from .graph import Graph
+from .graph import Graph, _read_int_pairs
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
     if len(t) != g.n:
         raise ValueError(f"expected {g.n} thresholds, got {len(t)}")
     for v, tv in enumerate(t):
+        if type(tv) is not int:
+            raise ValueError(f"threshold of vertex {v} is not an int: {tv!r}")
         if tv < 0:
             raise ValueError(f"threshold of vertex {v} is negative")
 
@@ -48,32 +50,13 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
     """Read explicit "vertex_id threshold" lines, ids in the graph's original
     id space.  Every vertex must be covered; missing ones are listed in the
     error."""
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode() if isinstance(data, bytes) else data
-    elif isinstance(source, bytes):
-        text = source.decode()
-    else:
-        text = Path(source).read_text()
-
     to_internal = (
         {orig: v for v, orig in enumerate(g.labels)}
         if g.labels is not None
         else {v: v for v in range(g.n)}
     )
     values: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'vertex_id threshold', got {raw!r}")
-        try:
-            orig = int(parts[0])
-            tv = int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed integer token in {raw!r}") from None
+    for lineno, orig, tv in _read_int_pairs(source, "'vertex_id threshold'"):
         if orig not in to_internal:
             raise ValueError(f"line {lineno}: unknown vertex id {orig}")
         if tv < 0:

@@ -110,6 +110,8 @@ def test_config_validation():
         BenchConfig(sources=src, algorithms=("magic",))
     with pytest.raises(ValueError):
         BenchConfig(sources=src, policy="nope")
+    with pytest.raises(ValueError):
+        BenchConfig(sources=src, policy="const", sweep=())
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -127,19 +129,3 @@ def test_verify_harness_clean_on_small_runs():
 def test_verify_rejects_unknown_class():
     with pytest.raises(ValueError):
         run_verify("torus", n_max=5, instances=1)
-
-
-def test_thread_env_var_keeps_rows_and_order(monkeypatch):
-    from targetset.bench import THREADS_ENV_VAR
-
-    cfg = BenchConfig(
-        sources=(GraphSource.parse("gnp:15:0.3"), GraphSource.parse("tree:10")),
-        policy="const",
-        sweep=(1, 2, 3),
-        algorithms=("tss", "greedy"),
-        seed=6,
-    )
-    serial = run_bench(cfg)
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    threaded = run_bench(cfg)
-    assert threaded == serial

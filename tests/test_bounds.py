@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import targetset
 from targetset import (
     Graph,
     bound_new,
@@ -74,9 +79,38 @@ def test_two_vertex_component_marks_inapplicable():
     assert not report.applicable
 
 
-def test_report_csv_row_shape():
-    report = check_bound_dominance(clique_graph(3), [1, 1, 1])
-    assert report.csv_row() == "1,1,1,true"
+def test_contract_checks_survive_python_O():
+    # Forced failures of the dominance check and of the exact solver's
+    # witness re-check must still raise when asserts are stripped.
+    script = """
+import sys
+from fractions import Fraction
+import targetset.bounds as bounds
+import targetset.reference as reference
+from targetset import star_graph
+
+assert sys.flags.optimize
+g, t = star_graph(9), [5] + [1] * 8
+bounds.bound_old = lambda g, t: Fraction(0)
+reference.is_target_set = lambda g, t, seeds: False
+for check in (bounds.check_bound_dominance, reference.exact_solve):
+    try:
+        check(g, t)
+    except AssertionError as exc:
+        print("raised:", exc)
+"""
+    src = str(Path(targetset.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines() == [
+        "raised: sharper bound 1 exceeds older bound 0",
+        "raised: exact witness is not a target set",
+    ]
 
 
 def test_disconnected_bound_equals_sum_over_components():

@@ -1,3 +1,4 @@
+from targetset import SolverReport
 from targetset.cli import main
 
 
@@ -94,3 +95,26 @@ def test_missing_edge_file_exits_nonzero(capsys):
     code, _, err = run(capsys, "solve", "--edges", "/nonexistent/file.txt")
     assert code == 1
     assert "error:" in err
+
+
+def test_bench_empty_sweep_exits_nonzero(capsys):
+    code, out, err = run(capsys, "bench", "--gen", "star:6", "--sweep", "3..1")
+    assert code == 1
+    assert out == ""
+    assert "nonempty sweep" in err
+
+
+def test_failed_verification_exits_three(capsys, monkeypatch):
+    def no_seeds(g, t):
+        return SolverReport(target_set=(), elimination_order=[], case_counts=(0, 0, 0), elapsed=0.0)
+
+    monkeypatch.setattr("targetset.bench.tss_solve", no_seeds)
+    code, out, err = run(capsys, "bench", "--gen", "star:6", "--sweep", "1..2")
+    assert code == 3
+    assert out == ""
+    assert err == "BUG: verification failed: output is not a target set\n"
+
+    monkeypatch.setattr("targetset.cli.tss_solve", no_seeds)
+    code, _, err = run(capsys, "solve", "--gen", "star:6", "--policy", "const:1")
+    assert code == 3
+    assert err == "BUG: emitted set failed target-set verification\n"

@@ -83,6 +83,9 @@ def test_graph_source_parse_and_build():
 
 
 def test_graph_source_rejects_bad_specs():
+    # parse rejects a malformed spec, build an out-of-range value
     for bad in ("gnp:30", "gnp:30:1.5", "cycle:2", "star:1", "nope:3", "edges:"):
         with pytest.raises(ValueError):
-            GraphSource.parse(bad)
+            GraphSource.parse(bad).build()
+    with pytest.raises(ValueError):
+        GraphSource("nope", n=3).build()

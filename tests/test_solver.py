@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,6 @@ from hypothesis import strategies as st
 from targetset import (
     Case,
     Graph,
-    ResidualState,
-    check_residual_consistency,
     clique_graph,
     is_target_set,
     star_graph,
@@ -84,34 +84,38 @@ def test_threshold_validation():
         tss_solve(g, [1, -1, 1])
 
 
-def test_residual_consistency_holds_on_initial_state():
-    g, t = random_instance(31)
-    assert check_residual_consistency(ResidualState.initial(g, t), g)
+def paper_elimination_order(g, t):
+    """TSS as written in the paper: linear scans for the three cases, exact
+    ratios, and the documented tie-breaks.  The reference for tss_solve."""
+    alive = set(range(g.n))
+    delta = g.degrees
+    k = list(t)
+    order = []
+    while alive:
+        zero = [v for v in alive if k[v] == 0]
+        deficient = [v for v in alive if delta[v] < k[v]]
+        if zero:
+            v, case = min(zero), Case.ACTIVATED
+        elif deficient:
+            v, case = max(deficient, key=lambda u: (k[u], u)), Case.SEEDED
+        else:
+            v = max(alive, key=lambda u: (Fraction(k[u], delta[u] * (delta[u] + 1)), k[u], u))
+            case = Case.DISCARDED
+        alive.remove(v)
+        order.append((v, case))
+        for u in g.neighbors(v):
+            if u in alive:
+                delta[u] -= 1
+                if case is not Case.DISCARDED:
+                    k[u] = max(k[u] - 1, 0)
+    return order
 
 
-def test_residual_consistency_after_single_removal():
-    g = clique_graph(4)
-    state = ResidualState.initial(g, [1, 1, 1, 1])
-    state.alive[2] = False
-    for u in g.neighbors(2):
-        state.delta[u] -= 1
-    assert check_residual_consistency(state, g)
-
-
-def test_residual_consistency_rejects_corrupted_state():
-    g, t = random_instance(32)
-    state = ResidualState.initial(g, t)
-    state.delta[0] += 1
-    assert not check_residual_consistency(state, g)
-    state.delta[0] -= 1
-    state.k[0] = -1
-    assert not check_residual_consistency(state, g)
-
-
-def test_solver_keeps_residual_state_consistent_throughout():
-    for seed in (1, 2, 3, 4, 5):
-        g, t = random_instance(seed, n_max=25)
-        tss_solve(g, t, check_consistency=True)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_elimination_order_matches_paper_pseudocode(seed):
+    g, t = random_instance(seed)
+    assert tss_solve(g, t).elimination_order == paper_elimination_order(g, t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,8 +147,6 @@ def test_integer_surrogate_reproduces_exact_ratio_order(k1, d1, k2, d2):
     # The solver ranks k/(d(d+1)) through floor(k*scale/(d(d+1))) with
     # scale = 2*B^2; this must match exact rational comparison in both
     # directions, including ties, for every (k, d) the solver can see.
-    from fractions import Fraction
-
     bound = 62 * 63
     scale = 2 * bound * bound
     s1 = k1 * scale // (d1 * (d1 + 1))

@@ -5,12 +5,18 @@ import pytest
 from targetset import (
     Graph,
     assign_thresholds,
+    bound_new,
+    bound_old,
     constant_capped,
     degree_thresholds,
+    exact_solve,
+    greedy_tss,
+    is_target_set,
     load_edge_list,
     load_thresholds,
     random_in_degree,
     star_graph,
+    tss_solve,
 )
 from conftest import path_graph
 
@@ -92,3 +98,20 @@ def test_policy_outputs_stay_within_degree_ranges():
                 assert 1 <= tv <= g.degree(v)
             else:
                 assert tv == 0
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_non_int_thresholds_are_rejected_at_every_entry_point(bad):
+    g = path_graph(3)
+    t = [1, bad, 1]
+    entry_points = (
+        tss_solve,
+        greedy_tss,
+        lambda g, t: is_target_set(g, t, [0]),
+        bound_new,
+        bound_old,
+        exact_solve,
+    )
+    for entry in entry_points:
+        with pytest.raises(ValueError, match="threshold of vertex 1 is not an int"):
+            entry(g, t)
