@@ -64,8 +64,9 @@ class BenchRow:
 class BenchConfig:
     """One benchmark run.
 
-    With the constant-capped policy every value in ``sweep`` produces one
-    instance per source and repetition; other policies draw one assignment
+    With the constant-capped policy (plain ``const``; the sweep supplies
+    every T) each value in ``sweep`` produces one instance per source and
+    repetition; other policies draw one assignment
     per (source, repetition).  ``timings`` off keeps the CSV byte-identical
     across runs; switch it on to study scaling.
     """
@@ -86,8 +87,14 @@ class BenchConfig:
         kind = self.policy.partition(":")[0]
         if kind not in ("const", "random", "degree", "file"):
             raise ValueError(f"unknown threshold policy {self.policy!r}")
+        if kind == "const" and self.policy != "const":
+            raise ValueError(
+                f"bench ignores T in {self.policy!r}; pass the const values with --sweep"
+            )
         if kind == "const" and not self.sweep:
             raise ValueError("const policy needs a nonempty sweep")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
 
 
 def _solve_row(cfg: BenchConfig, task) -> BenchRow:
@@ -182,6 +189,8 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
     """
     if klass not in ("tree", "cycle", "clique"):
         raise ValueError(f"unknown verification class {klass!r}")
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     mismatches: list[str] = []
     for i in range(instances):
         iseed = derive_seed(seed, klass, i)

@@ -52,20 +52,6 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal the vertex count")
-        assert self._invariants_hold()
-
-    def _invariants_hold(self) -> bool:
-        # Sorted-unique loop-free lists plus the degree sum; symmetry is
-        # structural (both endpoints are appended from one canonical edge set).
-        total = 0
-        for v, nbrs in enumerate(self._adj):
-            total += len(nbrs)
-            prev = -1
-            for u in nbrs:
-                if u == v or u <= prev:
-                    return False
-                prev = u
-        return total == 2 * self.m
 
     @property
     def adjacency(self) -> list[list[int]]:

@@ -3,14 +3,12 @@ small instances, and the closed-form optimum for cliques."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
 from .diffusion import is_target_set
 from .graph import Graph
-from .solver import Case, SolverReport
+from .solver import SolverReport, _eliminate
 from .thresholds import check_thresholds
 
 
@@ -39,61 +37,8 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     neighbor loses one degree and one threshold unit (clamped at zero).
     """
     check_thresholds(g, t)
-    start = time.perf_counter()
     n = g.n
-    adj = g.adjacency
-    alive = [True] * n
-    k = list(t)
-    delta = g.degrees
-
-    heap_min: list[tuple[int, int]] = []  # (k, v): argmin k, smallest id first
-    heap_max: list[tuple[int, int]] = []  # (-delta, -v): argmax delta, largest id first
-    for v in range(n):
-        heappush(heap_min, (k[v], v))
-        heappush(heap_max, (-delta[v], -v))
-
-    target: list[int] = []
-    order: list[tuple[int, Case]] = []
-    counts = [0, 0, 0]
-
-    for _ in range(n):
-        while True:
-            kv, v = heap_min[0]
-            if alive[v] and k[v] == kv:
-                break
-            heappop(heap_min)
-        if kv > 0:
-            while True:
-                nd, nv = heap_max[0]
-                u = -nv
-                if alive[u] and delta[u] == -nd:
-                    break
-                heappop(heap_max)
-            v = u
-            target.append(v)
-            case = Case.SEEDED
-        else:
-            case = Case.ACTIVATED
-        alive[v] = False
-        order.append((v, case))
-        counts[case - 1] += 1
-        for u in adj[v]:
-            if alive[u]:
-                du = delta[u] - 1
-                delta[u] = du
-                heappush(heap_max, (-du, -u))
-                ku = k[u]
-                if ku > 0:
-                    k[u] = ku - 1
-                    heappush(heap_min, (ku - 1, u))
-
-    elapsed = time.perf_counter() - start
-    return SolverReport(
-        target_set=tuple(sorted(target)),
-        elimination_order=order,
-        case_counts=(counts[0], counts[1], counts[2]),
-        elapsed=elapsed,
-    )
+    return _eliminate(g, t, lambda k, d, v: d * n + v, 0)
 
 
 def _iter_bits(mask: int):

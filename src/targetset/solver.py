@@ -18,6 +18,8 @@ Each iteration classifies some alive vertex, with strict priority:
 
 After the case action, v is removed: alive neighbors lose one degree.  The
 returned set is always a valid target set, found in O(m log n) time.
+``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
+left, it seeds the alive vertex of largest residual degree.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph
 from .thresholds import check_thresholds
@@ -65,12 +67,16 @@ class SolverReport:
         )
 
 
-def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
-    """Run the elimination solver; exactly n iterations, one removal each.
+def _eliminate(
+    g: Graph, t: Sequence[int], key: Callable[[int, int, int], int], seed_tier: int
+) -> SolverReport:
+    """The elimination loop shared by ``tss_solve`` and ``greedy_tss``.
 
-    Deterministic for a fixed input under the documented tie-breaks.
+    An alive vertex with k = 0 leaves first (ACTIVATED, smallest id first).
+    Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
+    when its key is ``>= seed_tier``, DISCARDED below.  Keys are packed ints
+    ending in ``* n + v``, so they are distinct and name their vertex.
     """
-    check_thresholds(g, t)
     start = time.perf_counter()
     n = g.n
     adj = g.adjacency
@@ -78,68 +84,29 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
     delta = g.degrees
     k = list(t)
     target: list[int] = []
-
-    # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
-    # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
-    # Distinct ratios with denominators <= B differ by at least 1/B^2, so the
-    # floor preserves their exact order and maps equal ratios equally.  Keys
-    # pack (surrogate, k, id) lexicographically into one int; largest-first.
-    max_deg = max(delta, default=0)
-    bound = max_deg * (max_deg + 1)
-    scale = 2 * bound * bound if bound else 2
-    kspan = max(k, default=0) + 1
-
-    heap_zero: list[int] = []  # case-1 ready queue: vertex ids, min first
-    heap_deficient: list[int] = []  # case-2: -(k*n + v), largest (k, v) first
-    heap_ranked: list[int] = []  # case-3: -packed(surrogate, k, v)
-
-    for v in range(n):
-        kv = k[v]
-        dv = delta[v]
-        if kv == 0:
-            heappush(heap_zero, v)
-        elif dv < kv:
-            heappush(heap_deficient, -(kv * n + v))
-        else:
-            s = kv * scale // (dv * (dv + 1))
-            heappush(heap_ranked, -((s * kspan + kv) * n + v))
-
     order: list[tuple[int, Case]] = []
     counts = [0, 0, 0]
 
+    ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
+    ranked: list[int] = []  # every other alive vertex: -key, largest key first
+    for v in range(n):
+        if k[v]:
+            heappush(ranked, -key(k[v], delta[v], v))
+
     for _ in range(n):
-        while heap_zero and not alive[heap_zero[0]]:
-            heappop(heap_zero)
-        if heap_zero:
-            v = heappop(heap_zero)
+        if ready:
+            v = heappop(ready)
             case = Case.ACTIVATED
         else:
-            v = -1
-            while heap_deficient:
-                packed = -heap_deficient[0]
-                u, kv = packed % n, packed // n
-                if alive[u] and k[u] == kv and delta[u] < kv:
-                    v = u
-                    heappop(heap_deficient)
+            # The ready queue is empty, so every alive vertex has k >= 1 and
+            # its current key in ranked; an entry is stale once its vertex
+            # died or its key changed.
+            while True:
+                packed = -heappop(ranked)
+                v = packed % n
+                if alive[v] and key(k[v], delta[v], v) == packed:
                     break
-                heappop(heap_deficient)
-            if v >= 0:
-                case = Case.SEEDED
-            else:
-                while True:
-                    packed = -heap_ranked[0]
-                    u = packed % n
-                    if alive[u]:
-                        ku = k[u]
-                        du = delta[u]
-                        if du >= ku >= 1:
-                            s = ku * scale // (du * (du + 1))
-                            if (s * kspan + ku) * n + u == packed:
-                                v = u
-                                heappop(heap_ranked)
-                                break
-                    heappop(heap_ranked)  # stale entry
-                case = Case.DISCARDED
+            case = Case.SEEDED if packed >= seed_tier else Case.DISCARDED
 
         alive[v] = False
         order.append((v, case))
@@ -167,16 +134,11 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
                 ku -= 1
                 k[u] = ku
                 if ku == 0:
-                    heappush(heap_zero, u)
+                    heappush(ready, u)
                     continue
             # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
-            if du < ku:
-                heappush(heap_deficient, -(ku * n + u))
-            else:
-                s = ku * scale // (du * (du + 1))
-                heappush(heap_ranked, -((s * kspan + ku) * n + u))
+            heappush(ranked, -key(ku, du, u))
 
-    assert len(target) == counts[1]
     elapsed = time.perf_counter() - start
     return SolverReport(
         target_set=tuple(sorted(target)),
@@ -184,3 +146,31 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
         case_counts=(counts[0], counts[1], counts[2]),
         elapsed=elapsed,
     )
+
+
+def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
+    """Run the elimination solver; exactly n iterations, one removal each.
+
+    Deterministic for a fixed input under the documented tie-breaks.
+    """
+    check_thresholds(g, t)
+    n = g.n
+    # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
+    # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
+    # Distinct ratios with denominators <= B differ by at least 1/B^2, so the
+    # floor preserves their exact order and maps equal ratios equally.  Keys
+    # pack (surrogate, k, id) lexicographically into one int; the surrogate
+    # never exceeds scale, so case-2 keys (k, id) above seed_tier outrank
+    # every case-3 key.
+    max_deg = max(map(len, g.adjacency), default=0)
+    bound = max_deg * (max_deg + 1)
+    scale = 2 * bound * bound if bound else 2
+    kspan = max(t, default=0) + 1
+    seed_tier = (scale + 1) * kspan * n
+
+    def key(kv: int, dv: int, v: int) -> int:
+        if dv < kv:
+            return seed_tier + kv * n + v
+        return (kv * scale // (dv * (dv + 1)) * kspan + kv) * n + v
+
+    return _eliminate(g, t, key, seed_tier)

@@ -48,8 +48,8 @@ def degree_thresholds(g: Graph) -> list[int]:
 
 def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
     """Read explicit "vertex_id threshold" lines, ids in the graph's original
-    id space.  Every vertex must be covered; missing ones are listed in the
-    error."""
+    id space.  Every vertex must be covered exactly once; missing ones are
+    listed in the error, and a repeated id is an error."""
     to_internal = (
         {orig: v for v, orig in enumerate(g.labels)}
         if g.labels is not None
@@ -61,7 +61,10 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
             raise ValueError(f"line {lineno}: unknown vertex id {orig}")
         if tv < 0:
             raise ValueError(f"line {lineno}: negative threshold for vertex {orig}")
-        values[to_internal[orig]] = tv
+        v = to_internal[orig]
+        if v in values:
+            raise ValueError(f"line {lineno}: duplicate vertex id {orig}")
+        values[v] = tv
     missing = [g.original_id(v) for v in range(g.n) if v not in values]
     if missing:
         raise ValueError(f"threshold file misses vertices: {missing}")

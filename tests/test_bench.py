@@ -112,6 +112,13 @@ def test_config_validation():
         BenchConfig(sources=src, policy="nope")
     with pytest.raises(ValueError):
         BenchConfig(sources=src, policy="const", sweep=())
+    with pytest.raises(ValueError, match="--sweep"):
+        BenchConfig(sources=src, policy="const:7", sweep=(2,))
+    for reps in (0, -2):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            BenchConfig(sources=src, repetitions=reps)
+    with pytest.raises(ValueError, match="instances must be >= 1"):
+        run_verify("tree", n_max=5, instances=0)
 
 
 def test_derive_seed_is_stable_and_sensitive():

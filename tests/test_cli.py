@@ -1,3 +1,5 @@
+import pytest
+
 from targetset import SolverReport
 from targetset.cli import main
 
@@ -102,6 +104,23 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
     assert code == 1
     assert out == ""
     assert "nonempty sweep" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bench", "--gen", "star:5", "--reps", "0"), "repetitions must be >= 1"),
+        (("bench", "--gen", "star:5", "--reps", "-2"), "repetitions must be >= 1"),
+        (("verify", "--class", "tree", "--instances", "0"), "instances must be >= 1"),
+        (("bench", "--gen", "star:5", "--policy", "const:7", "--sweep", "2"), "--sweep"),
+    ],
+    ids=["bench-reps-0", "bench-reps-negative", "verify-instances-0", "bench-const-T"],
+)
+def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_failed_verification_exits_three(capsys, monkeypatch):

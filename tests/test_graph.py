@@ -82,17 +82,23 @@ def test_connected_components_and_connectivity():
 
 
 @settings(max_examples=60)
-@given(st.integers(0, 10**9))
-def test_random_instances_keep_graph_invariants(seed):
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+)
+def test_random_instances_keep_graph_invariants(seed, raw_edges):
     from conftest import random_instance
 
-    g, _ = random_instance(seed)
-    seen = set()
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            assert u != v
-            assert v in g.neighbors(u)
-            seen.add((min(u, v), max(u, v)))
-        nbrs = g.neighbors(v)
-        assert nbrs == sorted(set(nbrs))
-    assert len(seen) == g.m
+    # raw_edges carries self-loops, repeats and reversed pairs unfiltered.
+    raw = Graph(8, raw_edges)
+    assert set(raw.edges()) == {(min(u, v), max(u, v)) for u, v in raw_edges if u != v}
+    for g in (random_instance(seed)[0], raw):
+        seen = set()
+        for v in range(g.n):
+            for u in g.neighbors(v):
+                assert u != v
+                assert v in g.neighbors(u)
+                seen.add((min(u, v), max(u, v)))
+            nbrs = g.neighbors(v)
+            assert nbrs == sorted(set(nbrs))
+        assert len(seen) == g.m

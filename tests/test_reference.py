@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetset import (
+    Case,
     Graph,
     clique_graph,
     clique_optimum,
@@ -98,6 +99,33 @@ def test_greedy_k4_at_degree_thresholds():
     assert optimum == 3  # K4 needs a vertex cover here; brute force agrees
     assert report.size >= optimum
     assert is_target_set(g, t, report.target_set)
+
+
+def greedy_reference_order(g, t):
+    """The degree-greedy baseline by linear scans, with its documented
+    tie-breaks.  The reference for greedy_tss."""
+    alive = set(range(g.n))
+    delta = g.degrees
+    k = list(t)
+    order = []
+    while alive:
+        v, case = min(alive, key=lambda u: (k[u], u)), Case.ACTIVATED
+        if k[v] > 0:
+            v, case = max(alive, key=lambda u: (delta[u], u)), Case.SEEDED
+        alive.remove(v)
+        order.append((v, case))
+        for u in g.neighbors(v):
+            if u in alive:
+                delta[u] -= 1
+                k[u] = max(k[u] - 1, 0)
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_greedy_elimination_order_matches_linear_scan(seed):
+    g, t = random_instance(seed)
+    assert greedy_tss(g, t).elimination_order == greedy_reference_order(g, t)
 
 
 @settings(max_examples=60, deadline=None)

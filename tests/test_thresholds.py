@@ -72,6 +72,8 @@ def test_explicit_file_rejects_unknown_and_negative():
         load_thresholds(g, io.StringIO("0 1\n1 1\n4 1\n"))
     with pytest.raises(ValueError, match="negative"):
         load_thresholds(g, io.StringIO("0 -1\n1 1\n"))
+    with pytest.raises(ValueError, match="line 3: duplicate vertex id 0"):
+        load_thresholds(g, io.StringIO("0 1\n1 1\n0 0\n"))
 
 
 def test_assign_thresholds_dispatch():
