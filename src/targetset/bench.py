@@ -191,11 +191,13 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
         raise ValueError(f"unknown verification class {klass!r}")
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if n_max < 3:
+        raise ValueError("n_max must be >= 3")
     mismatches: list[str] = []
     for i in range(instances):
         iseed = derive_seed(seed, klass, i)
         rng = random.Random(iseed)
-        n = rng.randint(3, max(3, n_max))
+        n = rng.randint(3, n_max)
         if klass == "tree":
             g = random_tree(n, seed=derive_seed(iseed, "graph"))
             t = random_in_degree(g, seed=derive_seed(iseed, "thresholds"))

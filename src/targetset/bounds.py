@@ -13,19 +13,26 @@ with at least 3 vertices it dominates the solver's output size.  Components
 with fewer than 3 vertices escape that guarantee (a two-vertex component of
 threshold-1 leaves contributes 0 to the bound but needs a seed), which is
 why reports carry an ``applicable`` flag.
+
+Both sums are computed the same way: whole terms (t >= denominator) are
+counted as one int, zero thresholds are skipped, and the remaining
+numerators are summed per denominator, so the ``Fraction`` work is one add
+per distinct denominator rather than one per vertex.  d2 needs no adjacency
+scan: it starts as the degree, and each threshold-1 leaf (degree <= 1, the
+only vertices outside the domain) lowers the count of its single neighbour.
+Each bound thus costs O(n) int work plus O(distinct degrees) ``Fraction``
+adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph, connected_components
 from .solver import tss_solve
 from .thresholds import check_thresholds
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -48,32 +55,41 @@ class BoundReport:
         )
 
 
+def _sum_min_one(numerators: Iterable[int], denominators: Iterable[int]) -> Fraction:
+    """Exact sum of min(1, a / b) over paired a >= 0 and b >= 1, with one
+    ``Fraction`` add per distinct denominator (see the module docstring)."""
+    whole = 0
+    grouped: dict[int, int] = {}
+    for a, b in zip(numerators, denominators):
+        if a >= b:
+            whole += 1
+        elif a:
+            grouped[b] = grouped.get(b, 0) + a
+    total = Fraction(whole)
+    for b, a in grouped.items():
+        total += Fraction(a, b)
+    return total
+
+
 def bound_new(g: Graph, t: Sequence[int]) -> Fraction:
     """The sharper upper bound, as an exact rational."""
     check_thresholds(g, t)
     adj = g.adjacency
-    in_v2 = [len(nbrs) >= 2 for nbrs in adj]
-    total = Fraction(0)
-    for v, nbrs in enumerate(adj):
-        if not (in_v2[v] or t[v] != 1):
-            continue
-        d2 = 0
-        for u in nbrs:
-            if in_v2[u] or t[u] != 1:
-                d2 += 1
-        term = Fraction(t[v], d2 + 1)
-        total += term if term < _ONE else _ONE
-    return total
+    # denominators[v] is d2(v) + 1.  A threshold-1 leaf (degree <= 1) leaves
+    # the sum (numerator 0) and the d2 count of its neighbour, if it has one.
+    numerators = list(t)
+    denominators = [len(nbrs) + 1 for nbrs in adj]
+    for v in [v for v, tv in enumerate(t) if tv == 1 and denominators[v] <= 2]:
+        numerators[v] = 0
+        for u in adj[v]:
+            denominators[u] -= 1
+    return _sum_min_one(numerators, denominators)
 
 
 def bound_old(g: Graph, t: Sequence[int]) -> Fraction:
     """The earlier bound: sum of min(1, t(v) / (d(v) + 1)) over all vertices."""
     check_thresholds(g, t)
-    total = Fraction(0)
-    for v, nbrs in enumerate(g.adjacency):
-        term = Fraction(t[v], len(nbrs) + 1)
-        total += term if term < _ONE else _ONE
-    return total
+    return _sum_min_one(t, [len(nbrs) + 1 for nbrs in g.adjacency])
 
 
 def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:

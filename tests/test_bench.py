@@ -119,6 +119,9 @@ def test_config_validation():
             BenchConfig(sources=src, repetitions=reps)
     with pytest.raises(ValueError, match="instances must be >= 1"):
         run_verify("tree", n_max=5, instances=0)
+    for n_max in (2, -5):
+        with pytest.raises(ValueError, match="n_max must be >= 3"):
+            run_verify("tree", n_max=n_max, instances=3)
 
 
 def test_derive_seed_is_stable_and_sensitive():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,11 +16,45 @@ from targetset import (
     check_bound_dominance,
     clique_graph,
     cycle_graph,
+    derive_seed,
+    gnp,
     random_in_degree,
     star_graph,
     tss_solve,
 )
 from conftest import connected_gnp, path_graph, random_instance
+
+
+def ref_new(g, t):
+    """The sharper bound as the module docstring defines it, one Fraction
+    add per summed vertex."""
+    adj = g.adjacency
+    in_v2 = [len(nbrs) >= 2 for nbrs in adj]
+    total = Fraction(0)
+    for v, nbrs in enumerate(adj):
+        if not (in_v2[v] or t[v] != 1):
+            continue
+        d2 = sum(1 for u in nbrs if in_v2[u] or t[u] != 1)
+        total += min(Fraction(1), Fraction(t[v], d2 + 1))
+    return total
+
+
+def ref_old(g, t):
+    """The older bound as the module docstring defines it."""
+    total = Fraction(0)
+    for v, nbrs in enumerate(g.adjacency):
+        total += min(Fraction(1), Fraction(t[v], len(nbrs) + 1))
+    return total
+
+
+def sparse_instance(seed):
+    """A sparse G(n, p) graph with many isolated vertices, leaves and
+    two-vertex components; thresholds favour 1 and include 0 and t > d."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 80)
+    g = gnp(n, rng.choice((0.01, 0.02, 0.05)), seed=derive_seed(seed, "g"))
+    t = [rng.choice((0, 1, 1, rng.randint(0, d + 2))) for d in g.degrees]
+    return g, t
 
 
 def test_star_new_bound_is_one():
@@ -129,6 +164,19 @@ def test_disconnected_bound_equals_sum_over_components():
         )
         per_component += bound_new(sub, [t[v] for v in comp])
     assert bound_new(g, t) == per_component
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_instance, st.integers(0, 10**9)),
+        st.builds(sparse_instance, st.integers(0, 10**9)),
+    )
+)
+def test_bounds_equal_per_vertex_reference(instance):
+    g, t = instance
+    assert bound_new(g, t) == ref_new(g, t)
+    assert bound_old(g, t) == ref_old(g, t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -112,9 +112,16 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bench", "--gen", "star:5", "--reps", "0"), "repetitions must be >= 1"),
         (("bench", "--gen", "star:5", "--reps", "-2"), "repetitions must be >= 1"),
         (("verify", "--class", "tree", "--instances", "0"), "instances must be >= 1"),
+        (("verify", "--class", "tree", "--n-max", "-5", "--instances", "3"), "n_max must be >= 3"),
         (("bench", "--gen", "star:5", "--policy", "const:7", "--sweep", "2"), "--sweep"),
     ],
-    ids=["bench-reps-0", "bench-reps-negative", "verify-instances-0", "bench-const-T"],
+    ids=[
+        "bench-reps-0",
+        "bench-reps-negative",
+        "verify-instances-0",
+        "verify-n-max-below-3",
+        "bench-const-T",
+    ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
