@@ -3,20 +3,20 @@ randomized cross-checks of the solver against the exact oracle."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import IO, Sequence
 
 from .bounds import bound_new, bound_old
 from .diffusion import is_target_set
 from .generators import GraphSource, clique_graph, cycle_graph, random_tree
+from .graph import Graph
 from .reference import clique_optimum, exact_solve, greedy_tss
 from .solver import tss_solve
 from .thresholds import assign_thresholds, constant_capped, random_in_degree
-
-CSV_HEADER = "graph_name,n,m,t_param,algorithm,solution_size,bound_new,bound_old,elapsed_ms,seed,error"
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -40,24 +40,8 @@ class BenchRow:
     seed: int
     error: str = ""
 
-    def as_csv(self) -> str:
-        t_param = "" if self.t_param is None else str(self.t_param)
-        size = "" if self.solution_size is None else str(self.solution_size)
-        return ",".join(
-            [
-                self.graph_name,
-                str(self.n),
-                str(self.m),
-                t_param,
-                self.algorithm,
-                size,
-                self.bound_new,
-                self.bound_old,
-                self.elapsed_ms,
-                str(self.seed),
-                self.error,
-            ]
-        )
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 @dataclass(frozen=True)
@@ -97,76 +81,69 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
 
 
-def _solve_row(cfg: BenchConfig, task) -> BenchRow:
-    src_name, g, t, t_param, alg, seed = task
+def _solve_row(
+    cfg: BenchConfig, name: str, g: Graph, t: list[int], t_param: int | None, alg: str, seed: int
+) -> BenchRow:
+    instance = dict(graph_name=name, n=g.n, m=g.m, t_param=t_param, algorithm=alg, seed=seed)
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
         if alg == "tss":
             solution = tss_solve(g, t).target_set
         elif alg == "greedy":
             solution = greedy_tss(g, t).target_set
         else:
             solution = exact_solve(g, t, max_vertices=cfg.exact_cap).witness
-        elapsed = time.perf_counter() - start
-        if not is_target_set(g, t, solution):
-            raise AssertionError("verification failed: output is not a target set")
-        return BenchRow(
-            graph_name=src_name,
-            n=g.n,
-            m=g.m,
-            t_param=t_param,
-            algorithm=alg,
-            solution_size=len(solution),
-            bound_new=f"{float(bound_new(g, t)):.6g}",
-            bound_old=f"{float(bound_old(g, t)):.6g}",
-            elapsed_ms=f"{elapsed * 1000.0:.3f}" if cfg.timings else "",
-            seed=seed,
-        )
     except ValueError as exc:
-        return BenchRow(
-            graph_name=src_name,
-            n=g.n,
-            m=g.m,
-            t_param=t_param,
-            algorithm=alg,
-            solution_size=None,
-            bound_new="",
-            bound_old="",
-            elapsed_ms="",
-            seed=seed,
-            error=str(exc),
-        )
+        return BenchRow(**instance, solution_size=None, bound_new="", bound_old="",
+                        elapsed_ms="", error=str(exc))
+    elapsed = time.perf_counter() - start
+    if not is_target_set(g, t, solution):
+        raise AssertionError("verification failed: output is not a target set")
+    return BenchRow(
+        **instance,
+        solution_size=len(solution),
+        bound_new=f"{float(bound_new(g, t)):.6g}",
+        bound_old=f"{float(bound_old(g, t)):.6g}",
+        elapsed_ms=f"{elapsed * 1000.0:.3f}" if cfg.timings else "",
+    )
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
-    """Assign thresholds, solve, verify, and emit one row per task.
+    """Build each instance, then solve, verify and bound it once per algorithm.
 
     Rows come in configuration order (source, repetition, sweep value,
     algorithm).  A solver error such as an oversized exact instance becomes
     an error row and the run continues; an emitted set that fails the
     target-set re-check raises ``AssertionError``, because that is a bug.
+    A source that cannot be built (a missing edge file, say) raises
+    ``ValueError`` or ``OSError`` when the loop reaches it.
     """
-    tasks = []
-    is_const = cfg.policy.partition(":")[0] == "const"
+    rows = []
+    is_const = cfg.policy == "const"
     for src in cfg.sources:
         for rep in range(cfg.repetitions):
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
             g = src.with_seed(gseed).build()
             for t_param in cfg.sweep if is_const else (None,):
-                tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
                 if is_const:
                     t = constant_capped(g, t_param)
                 else:
+                    tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
                     t = assign_thresholds(g, cfg.policy, tseed)
                 for alg in cfg.algorithms:
-                    tasks.append((src.name, g, t, t_param, alg, gseed))
-    return [_solve_row(cfg, task) for task in tasks]
+                    rows.append(_solve_row(cfg, src.name, g, t, t_param, alg, gseed))
+    return rows
 
 
 def write_csv(rows: Sequence[BenchRow], stream: IO) -> None:
+    """Write ``CSV_HEADER`` and one line per row, fields in declaration order.
+
+    The ``csv`` module quotes a field that holds a comma, a quote or a line
+    break; ``None`` becomes an empty field.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
     stream.write(CSV_HEADER + "\n")
-    for row in rows:
-        stream.write(row.as_csv() + "\n")
+    writer.writerows(astuple(row) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,7 @@ def _add_threshold_args(p: argparse.ArgumentParser):
 def _build_graph(args) -> Graph:
     if getattr(args, "edges", None):
         return load_edge_list(args.edges)
-    src = GraphSource.parse(args.gen)
-    if src.seed is None and args.seed is not None:
-        src = src.with_seed(args.seed)
-    return src.build()
+    return GraphSource.parse(args.gen).with_seed(args.seed).build()
 
 
 def _build_thresholds(args, g: Graph) -> list[int]:

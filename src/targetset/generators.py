@@ -92,7 +92,8 @@ class GraphSource:
     Parseable from compact spec strings as used by the CLI and the benchmark
     harness: ``gnp:N:P``, ``tree:N``, ``cycle:N``, ``clique:N``, ``star:N``,
     ``edges:PATH``.  Parsing checks the spec's shape; the generators check
-    its values when :meth:`build` runs.
+    its values when :meth:`build` runs.  A spec has no seed field: the
+    random generators take their seed from :meth:`with_seed`.
     """
 
     kind: str
@@ -106,18 +107,9 @@ class GraphSource:
         kind, _, rest = spec.partition(":")
         try:
             if kind == "gnp":
-                n_s, p_s, *seed_s = rest.split(":")
-                if len(seed_s) > 1:
-                    raise ValueError("too many fields")
-                seed = int(seed_s[0]) if seed_s else None
-                return cls("gnp", n=int(n_s), p=float(p_s), seed=seed)
-            if kind == "tree":
-                n_s, *seed_s = rest.split(":")
-                if len(seed_s) > 1:
-                    raise ValueError("too many fields")
-                seed = int(seed_s[0]) if seed_s else None
-                return cls("tree", n=int(n_s), seed=seed)
-            if kind in ("cycle", "clique", "star"):
+                n_s, _, p_s = rest.partition(":")
+                return cls("gnp", n=int(n_s), p=float(p_s))
+            if kind in ("tree", "cycle", "clique", "star"):
                 return cls(kind, n=int(rest))
             if kind == "edges":
                 if not rest:

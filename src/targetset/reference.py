@@ -115,8 +115,8 @@ def _close_mask(
 
 
 def _min_seed_for_component(
-    comp_mask: int, adj_mask: list[int], tt: list[int], cap: int
-) -> tuple[int | None, list[int], int]:
+    comp_mask: int, adj_mask: list[int], tt: list[int]
+) -> tuple[list[int], int]:
     """Smallest seed set activating one component, by increasing cardinality.
 
     Candidates are enumerated lexicographically within each size, with two
@@ -124,8 +124,8 @@ def _min_seed_for_component(
     activation closure (at the first feasible size such a set would imply a
     smaller solution), and a subtree is dropped when even seeding every
     remaining candidate at once would not activate the whole component
-    (activation is monotone in the seed set).  Returns (None, [], examined)
-    when nothing fits the cap.
+    (activation is monotone in the seed set).  Seeding the whole component
+    always works, so the search ends at the optimum.
     """
     members = sorted(_iter_bits(comp_mask))
     examined = 0
@@ -159,21 +159,16 @@ def _min_seed_for_component(
 
         return chosen if rec(0, 0) else None
 
-    for size in range(0, min(cap, width) + 1):
-        if size == 0:
-            examined += 1
-            if _close_mask(0, members, adj_mask, tt, comp_mask) == comp_mask:
-                return 0, [], examined
-            continue
-        hit = search(size)
-        if hit is not None:
-            return size, hit, examined
-    return None, [], examined
+    examined += 1
+    if _close_mask(0, members, adj_mask, tt, comp_mask) == comp_mask:
+        return [], examined
+    size = 1
+    while (hit := search(size)) is None:
+        size += 1
+    return hit, examined
 
 
-def exact_solve(
-    g: Graph, t: Sequence[int], budget: int | None = None, *, max_vertices: int = 24
-) -> ExactResult:
+def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = 24) -> ExactResult:
     """Exact minimum target set by exhaustive search over seed sets.
 
     Seed sets are tried in increasing cardinality (lexicographic within a
@@ -183,14 +178,12 @@ def exact_solve(
 
     Raises:
         ValueError: when n exceeds ``max_vertices`` ("instance too large for
-            exact solver") or when no target set exists within ``budget``
-            ("optimum > budget"; impossible at the default budget of n).
+            exact solver").
     """
     check_thresholds(g, t)
     n = g.n
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")
-    budget = n if budget is None else min(budget, n)
 
     adj_mask = [0] * n
     for v in range(n):
@@ -204,16 +197,10 @@ def exact_solve(
 
     witness = list(forced)
     examined = 0
-    remaining = budget - len(forced)
-    if remaining < 0:
-        raise ValueError("optimum > budget")
     for comp_mask in _mask_components(adj_mask, present):
-        size, chosen, seen = _min_seed_for_component(comp_mask, adj_mask, tt, remaining)
+        chosen, seen = _min_seed_for_component(comp_mask, adj_mask, tt)
         examined += seen
-        if size is None:
-            raise ValueError("optimum > budget")
         witness.extend(chosen)
-        remaining -= size
 
     result = ExactResult(
         optimum_size=len(witness),

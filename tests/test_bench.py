@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -56,9 +57,21 @@ def test_csv_header_and_shape():
     )
     text = _csv(cfg)
     lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == (
+        "graph_name,n,m,t_param,algorithm,solution_size,bound_new,bound_old,elapsed_ms,seed,error"
+    )
     assert len(lines) == 3
     assert all(line.count(",") == CSV_HEADER.count(",") for line in lines)
+
+
+def test_csv_quotes_a_source_name_with_a_comma(tmp_path):
+    path = tmp_path / "tri,angle.txt"
+    path.write_text("0 1\n1 2\n2 0\n")
+    cfg = BenchConfig(sources=(GraphSource.parse(f"edges:{path}"),), sweep=(1, 2))
+    lines = list(csv.reader(io.StringIO(_csv(cfg))))
+    assert len(lines) == 3
+    assert all(len(line) == 11 for line in lines)
+    assert {line[0] for line in lines[1:]} == {f"edges:{path}"}
 
 
 def test_nonconst_policy_ignores_sweep():

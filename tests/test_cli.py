@@ -114,6 +114,7 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("verify", "--class", "tree", "--instances", "0"), "instances must be >= 1"),
         (("verify", "--class", "tree", "--n-max", "-5", "--instances", "3"), "n_max must be >= 3"),
         (("bench", "--gen", "star:5", "--policy", "const:7", "--sweep", "2"), "--sweep"),
+        (("bench", "--gen", "gnp:200:0.05:7", "--sweep", "2"), "bad graph spec"),
     ],
     ids=[
         "bench-reps-0",
@@ -121,6 +122,7 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "verify-instances-0",
         "verify-n-max-below-3",
         "bench-const-T",
+        "bench-spec-seed",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):

@@ -78,13 +78,14 @@ def test_graph_source_parse_and_build():
     assert g.n == 30
     assert GraphSource.parse("star:9").build().degree(0) == 8
     assert GraphSource.parse("clique:4").build().m == 6
-    assert GraphSource.parse("tree:6:4").seed == 4
     assert GraphSource.parse("cycle:5").name == "cycle:5"
 
 
 def test_graph_source_rejects_bad_specs():
     # parse rejects a malformed spec, build an out-of-range value
-    for bad in ("gnp:30", "gnp:30:1.5", "cycle:2", "star:1", "nope:3", "edges:"):
+    bad_specs = ("gnp:30", "gnp:30:1.5", "cycle:2", "star:1", "nope:3", "edges:",
+                 "gnp:30:0.5:7", "tree:6:4")
+    for bad in bad_specs:
         with pytest.raises(ValueError):
             GraphSource.parse(bad).build()
     with pytest.raises(ValueError):

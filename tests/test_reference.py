@@ -52,14 +52,9 @@ def test_exact_respects_vertex_cap():
     exact_solve(g, [1] * 30, max_vertices=30)  # override is allowed
 
 
-def test_exact_budget_overrun_is_reported():
-    with pytest.raises(ValueError, match="optimum > budget"):
-        exact_solve(cycle_graph(6), [2] * 6, budget=2)
-
-
 def test_exact_budget_equal_to_n_always_succeeds():
     g, t = random_instance(5, n_max=10)
-    res = exact_solve(g, t, budget=g.n, max_vertices=g.n)
+    res = exact_solve(g, t, max_vertices=g.n)
     assert res.optimum_size <= g.n
 
 
