@@ -58,16 +58,13 @@ def _build_thresholds(args, g: Graph) -> list[int]:
 def _cmd_solve(args) -> int:
     g = _build_graph(args)
     t = _build_thresholds(args, g)
-    if args.alg == "tss":
-        report = tss_solve(g, t)
-        solution = report.target_set
-    elif args.alg == "greedy":
-        report = greedy_tss(g, t)
-        solution = report.target_set
-    else:
+    if args.alg == "exact":
         result = exact_solve(g, t, max_vertices=args.exact_cap)
         report = None
         solution = result.witness
+    else:
+        report = (tss_solve if args.alg == "tss" else greedy_tss)(g, t)
+        solution = report.target_set
     if not is_target_set(g, t, solution):
         raise AssertionError("emitted set failed target-set verification")
     print(f"algorithm {args.alg}")
@@ -88,10 +85,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     sources = tuple(GraphSource.parse(spec) for spec in args.gen)
-    sweep = tuple(int(tok) for tok in args.sweep.split(",")) if "," in args.sweep else None
-    if sweep is None:
-        lo, _, hi = args.sweep.partition("..")
-        sweep = tuple(range(int(lo), int(hi) + 1)) if hi else (int(lo),)
+    lo, dots, hi = args.sweep.partition("..")
+    try:
+        sweep = tuple(range(int(lo), int(hi) + 1) if dots else map(int, args.sweep.split(",")))
+    except ValueError:
+        raise ValueError(f"bad sweep {args.sweep!r}") from None
     cfg = BenchConfig(
         sources=sources,
         policy=args.policy,

@@ -33,6 +33,8 @@ class ActivationTrace:
 def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
     s = set(seeds)
     for v in s:
+        if type(v) is not int:
+            raise ValueError(f"seed vertex is not an int: {v!r}")
         if not (0 <= v < g.n):
             raise ValueError(f"seed vertex {v} out of range for n={g.n}")
     return s
@@ -41,32 +43,32 @@ def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
 def run_activation(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> ActivationTrace:
     """Run the synchronous activation process to its fixpoint.
 
-    Implemented as a wave-by-wave worklist over per-vertex remaining-need
-    counters (O(n + m) total), so round labels match the synchronous
-    definition exactly.  Vertices with threshold 0 that are not seeded
-    activate at round 1, not round 0.
+    One FIFO worklist over remaining-need counters, O(n + m).  Seeds get
+    round 0, unseeded threshold-0 vertices round 1; a vertex whose need a
+    popped vertex of round r brings to 0 gets round r + 1 and joins the
+    queue.  Rounds in the queue never decrease, so u's need is completed by
+    its t(u)-th earliest active neighbor: the synchronous round exactly.
     """
     check_thresholds(g, t)
     adj = g.adjacency
-    active = _seed_set(g, seeds)
-    rounds = [set(active)]
+    queue = list(_seed_set(g, seeds))
+    round_of = [-1 if tv else 1 for tv in t]
+    for s in queue:
+        round_of[s] = 0
+    queue += [u for u, r in enumerate(round_of) if r == 1]
     need = list(t)
-    for s in active:
-        for u in adj[s]:
-            need[u] -= 1
-    current = [u for u in range(g.n) if u not in active and need[u] <= 0]
-    while current:
-        rounds.append(set(current))
-        active.update(current)
-        nxt: set[int] = set()
-        for v in current:
-            for u in adj[v]:
-                if u not in active:
-                    need[u] -= 1
-                    if need[u] <= 0:
-                        nxt.add(u)
-        current = sorted(nxt)
-    return ActivationTrace(rounds=rounds, active=active, converged_round=len(rounds) - 1)
+    for v in queue:
+        r = round_of[v] + 1
+        for u in adj[v]:
+            if round_of[u] < 0:
+                need[u] -= 1
+                if need[u] == 0:
+                    round_of[u] = r
+                    queue.append(u)
+    rounds: list[set[int]] = [set() for _ in range(round_of[queue[-1]] + 1 if queue else 1)]
+    for v in queue:
+        rounds[round_of[v]].add(v)
+    return ActivationTrace(rounds=rounds, active=set(queue), converged_round=len(rounds) - 1)
 
 
 def activation_closure(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> set[int]:

@@ -15,10 +15,10 @@ from typing import IO, Iterable, Iterator
 class Graph:
     """Immutable simple undirected graph.
 
-    The constructor normalizes its input: self-loops are dropped, duplicate
-    edges (in either orientation) are kept once, and every adjacency list is
-    sorted.  Instances are safe to share across threads; the adjacency lists
-    are exposed directly for speed and must not be mutated.
+    The constructor normalizes its input: self-loops are dropped, every
+    adjacency list is sorted, and a list that then holds a repeated neighbor
+    (a duplicate edge, in either orientation) is rebuilt without it.  The
+    adjacency lists are exposed directly for speed and must not be mutated.
     """
 
     __slots__ = ("n", "m", "_adj", "labels")
@@ -29,25 +29,24 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Iterable[int] | None = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[int] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
+        try:
+            if n < 0:
+                raise ValueError("vertex count must be nonnegative")
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                if u != v:
+                    adj[u].append(v)
+                    adj[v].append(u)
+        except TypeError:
+            raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})") from None
+        for v, lst in enumerate(adj):
             lst.sort()
+            if len(set(lst)) < len(lst):
+                adj[v] = sorted(set(lst))
         self.n = n
-        self.m = len(seen)
+        self.m = sum(map(len, adj)) // 2
         self._adj = adj
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:

@@ -52,10 +52,10 @@ def test_zero_threshold_nonseeds_join_at_round_one():
 
 
 def test_seed_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        run_activation(path_graph(3), [1, 1, 1], {7})
-    with pytest.raises(ValueError):
-        activation_closure(path_graph(3), [1, 1, 1], {-1})
+    for fn in (run_activation, activation_closure, is_target_set):
+        for seed in (7, -1, 0.5, True):
+            with pytest.raises(ValueError, match="seed vertex"):
+                fn(path_graph(3), [1, 1, 1], [seed])
 
 
 def test_is_target_set_examples():
@@ -97,13 +97,34 @@ def test_rounds_partition_the_active_set_and_converge_fast(seed):
     assert seeds <= trace.active
 
 
+def naive_rounds(g, t, seeds):
+    """Round sets by the synchronous definition: every round recounts each
+    inactive vertex's active neighbors from scratch."""
+    active = set(seeds)
+    rounds = [set(active)]
+    while True:
+        new = {
+            u for u in range(g.n)
+            if u not in active and sum(w in active for w in g.neighbors(u)) >= t[u]
+        }
+        if not new:
+            return rounds
+        rounds.append(new)
+        active |= new
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_synchronous_rounds_match_naive_closure(seed):
     g, t = random_instance(seed)
     rng = random.Random(seed ^ 0x5A5A)
     seeds = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-    assert run_activation(g, t, seeds).active == activation_closure(g, t, seeds)
+    trace = run_activation(g, t, seeds)
+    closure = activation_closure(g, t, seeds)
+    assert trace.rounds == naive_rounds(g, t, seeds)
+    assert trace.converged_round == len(trace.rounds) - 1
+    assert trace.active == closure
+    assert is_target_set(g, t, seeds) == (closure == set(range(g.n)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,9 @@ def test_construction_normalizes_duplicates_and_loops():
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
+    for n, edges in ((3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(1.0, 2)]), (2.5, []), ("3", [])):
+        with pytest.raises(ValueError, match="must be ints"):
+            Graph(n, edges)
 
 
 def test_degree_sum_is_twice_edge_count():
