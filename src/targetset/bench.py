@@ -68,6 +68,8 @@ class BenchConfig:
         for alg in self.algorithms:
             if alg not in ("tss", "greedy", "exact"):
                 raise ValueError(f"unknown algorithm {alg!r}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"repeated algorithm in {','.join(self.algorithms)!r}")
         kind = self.policy.partition(":")[0]
         if kind not in ("const", "random", "degree", "file"):
             raise ValueError(f"unknown threshold policy {self.policy!r}")

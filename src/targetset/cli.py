@@ -85,11 +85,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     sources = tuple(GraphSource.parse(spec) for spec in args.gen)
-    lo, dots, hi = args.sweep.partition("..")
-    try:
-        sweep = tuple(range(int(lo), int(hi) + 1) if dots else map(int, args.sweep.split(",")))
-    except ValueError:
-        raise ValueError(f"bad sweep {args.sweep!r}") from None
+    sweep = BenchConfig.sweep
+    if args.sweep is not None:
+        if args.policy.partition(":")[0] != "const":
+            raise ValueError(f"--sweep needs the const policy; {args.policy!r} ignores it")
+        lo, dots, hi = args.sweep.partition("..")
+        try:
+            sweep = tuple(range(int(lo), int(hi) + 1) if dots else map(int, args.sweep.split(",")))
+        except ValueError:
+            raise ValueError(f"bad sweep {args.sweep!r}") from None
     cfg = BenchConfig(
         sources=sources,
         policy=args.policy,
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph source (repeatable): gnp:N:P | tree:N | ... | edges:PATH")
     p.add_argument("--policy", default="const",
                    help="const | random | degree | file:PATH (default const, swept)")
-    p.add_argument("--sweep", default="1..10", help="sweep values, e.g. 1..10 or 1,2,5")
+    p.add_argument("--sweep", help="const sweep values, e.g. 1..10 or 1,2,5 (default 1..10)")
     p.add_argument("--alg", default="tss", help="comma list from tss,greedy,exact")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--timings", action="store_true",

@@ -8,6 +8,7 @@ lists.  Graphs loaded from edge-list files keep the original external ids in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -17,8 +18,10 @@ class Graph:
 
     The constructor normalizes its input: self-loops are dropped, every
     adjacency list is sorted, and a list that then holds a repeated neighbor
-    (a duplicate edge, in either orientation) is rebuilt without it.  The
-    adjacency lists are exposed directly for speed and must not be mutated.
+    (a duplicate edge, in either orientation) is rebuilt without it.  An
+    endpoint that is not an int (a bool or a float included) raises
+    ``ValueError``.  The adjacency lists are exposed directly for speed and
+    must not be mutated.
     """
 
     __slots__ = ("n", "m", "_adj", "labels")
@@ -30,6 +33,8 @@ class Graph:
         labels: Iterable[int] | None = None,
     ):
         try:
+            if type(n) is not int:
+                raise TypeError  # a bool count would pass as 0 or 1
             if n < 0:
                 raise ValueError("vertex count must be nonnegative")
             adj: list[list[int]] = [[] for _ in range(n)]
@@ -39,12 +44,19 @@ class Graph:
                 if u != v:
                     adj[u].append(v)
                     adj[v].append(u)
+                elif type(u) is not int or type(v) is not int:
+                    raise TypeError  # a float or bool self-loop
+            for v, lst in enumerate(adj):
+                lst.sort()
+                # A bool endpoint equals 0 or 1, so sorting moves it into the
+                # run of entries <= 1 at the front of its neighbor's list.
+                if lst and lst[0] <= 1:
+                    if any(type(x) is not int for x in lst[: bisect_right(lst, 1)]):
+                        raise TypeError
+                if len(set(lst)) < len(lst):
+                    adj[v] = sorted(set(lst))
         except TypeError:
             raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})") from None
-        for v, lst in enumerate(adj):
-            lst.sort()
-            if len(set(lst)) < len(lst):
-                adj[v] = sorted(set(lst))
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self._adj = adj

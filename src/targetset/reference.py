@@ -35,10 +35,12 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     alive vertex of maximum residual degree (largest id on ties) into the
     target set.  Either way the chosen vertex is removed and every alive
     neighbor loses one degree and one threshold unit (clamped at zero).
+    The degree key never rises, so the loop re-keys a vertex only when its
+    stale entry reaches the top of the heap.
     """
     check_thresholds(g, t)
     n = g.n
-    return _eliminate(g, t, lambda k, d, v: d * n + v, 0)
+    return _eliminate(g, t, lambda k, d, v: d * n + v, 0, falling=True)
 
 
 def _iter_bits(mask: int):

@@ -20,6 +20,13 @@ After the case action, v is removed: alive neighbors lose one degree.  The
 returned set is always a valid target set, found in O(m log n) time.
 ``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
 left, it seeds the alive vertex of largest residual degree.
+
+The ranked heap is lazy.  A tss key can rise (a discard lowers a neighbor's
+degree but not its threshold), so each neighbor update pushes the new key and
+stale entries are dropped when popped.  Greedy's key only falls, so updates
+push nothing and a popped alive vertex whose key fell is pushed back with its
+current key: each alive vertex keeps one entry, never below its key, and the
+first entry that matches its vertex's key is still the maximum.
 """
 
 from __future__ import annotations
@@ -68,7 +75,11 @@ class SolverReport:
 
 
 def _eliminate(
-    g: Graph, t: Sequence[int], key: Callable[[int, int, int], int], seed_tier: int
+    g: Graph,
+    t: Sequence[int],
+    key: Callable[[int, int, int], int],
+    seed_tier: int,
+    falling: bool = False,
 ) -> SolverReport:
     """The elimination loop shared by ``tss_solve`` and ``greedy_tss``.
 
@@ -76,6 +87,15 @@ def _eliminate(
     Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
     when its key is ``>= seed_tier``, DISCARDED below.  Keys are packed ints
     ending in ``* n + v``, so they are distinct and name their vertex.
+
+    By default every neighbor update pushes the neighbor's new key, and an
+    entry whose vertex died or whose key changed is dropped at pop time.
+    ``falling=True`` is for a key that can never rise: updates push nothing,
+    and a popped alive vertex whose key fell gets its current key pushed
+    back.  Every alive ranked vertex then holds exactly one entry, at least
+    its current key, so the first popped entry that equals its vertex's
+    current key is the largest current key.  A key that can rise would leave
+    its entry below the key, and the heap would pop the wrong vertex.
     """
     start = time.perf_counter()
     n = g.n
@@ -99,13 +119,17 @@ def _eliminate(
             case = Case.ACTIVATED
         else:
             # The ready queue is empty, so every alive vertex has k >= 1 and
-            # its current key in ranked; an entry is stale once its vertex
-            # died or its key changed.
+            # an entry in ranked; an entry is stale once its vertex died or
+            # its key changed.
             while True:
                 packed = -heappop(ranked)
                 v = packed % n
-                if alive[v] and key(k[v], delta[v], v) == packed:
-                    break
+                if alive[v]:
+                    current = key(k[v], delta[v], v)
+                    if current == packed:
+                        break
+                    if falling:
+                        heappush(ranked, -current)
             case = Case.SEEDED if packed >= seed_tier else Case.DISCARDED
 
         alive[v] = False
@@ -137,7 +161,8 @@ def _eliminate(
                     heappush(ready, u)
                     continue
             # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
-            heappush(ranked, -key(ku, du, u))
+            if not falling:
+                heappush(ranked, -key(ku, du, u))
 
     elapsed = time.perf_counter() - start
     return SolverReport(

@@ -127,6 +127,8 @@ def test_config_validation():
         BenchConfig(sources=src, policy="const", sweep=())
     with pytest.raises(ValueError, match="--sweep"):
         BenchConfig(sources=src, policy="const:7", sweep=(2,))
+    with pytest.raises(ValueError, match="repeated algorithm"):
+        BenchConfig(sources=src, algorithms=("tss", "tss"))
     for reps in (0, -2):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             BenchConfig(sources=src, repetitions=reps)

@@ -116,6 +116,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bench", "--gen", "star:5", "--policy", "const:7", "--sweep", "2"), "--sweep"),
         (("bench", "--gen", "gnp:200:0.05:7", "--sweep", "2"), "bad graph spec"),
         (("bench", "--gen", "star:5", "--sweep", "1.."), "bad sweep '1..'"),
+        (("bench", "--gen", "star:5", "--policy", "random", "--sweep", "1..3"), "--sweep"),
+        (("bench", "--gen", "star:5", "--alg", "tss,greedy,tss"), "repeated algorithm"),
     ],
     ids=[
         "bench-reps-0",
@@ -125,6 +127,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bench-const-T",
         "bench-spec-seed",
         "bench-sweep-open-range",
+        "bench-nonconst-sweep",
+        "bench-repeated-alg",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):

@@ -20,6 +20,22 @@ def test_edge_out_of_range_rejected():
     for n, edges in ((3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(1.0, 2)]), (2.5, []), ("3", [])):
         with pytest.raises(ValueError, match="must be ints"):
             Graph(n, edges)
+    # Bools compare equal to 0 and 1 and float self-loops are dropped as
+    # loops, so neither fails an index or a range test; each must still be
+    # rejected, also as the vertex count or when a bool edge repeats an int
+    # edge.
+    for n, edges in (
+        (True, []),
+        (3, [(0, True)]),
+        (3, [(True, 2)]),
+        (2, [(True, False)]),
+        (3, [(2, 0), (2, False)]),
+        (3, [(1.0, 1)]),
+        (3, [(1, 1.0)]),
+        (3, [(True, 1)]),
+    ):
+        with pytest.raises(ValueError, match="must be ints"):
+            Graph(n, edges)
 
 
 def test_degree_sum_is_twice_edge_count():

@@ -123,6 +123,51 @@ def test_greedy_elimination_order_matches_linear_scan(seed):
     assert greedy_tss(g, t).elimination_order == greedy_reference_order(g, t)
 
 
+def star_of_stars(hubs):
+    """Center 0 joined to hubs 1..hubs.  Hub 1 has hubs + 1 leaves and hub
+    j >= 2 has hubs - j, so greedy seeds hub 1 first and then every hub j
+    ties the center's falling degree: the center's heap entry goes stale
+    after each hub and is re-keyed each time it reaches the top."""
+    edges = []
+    leaf = hubs + 1
+    for j in range(1, hubs + 1):
+        edges.append((0, j))
+        for _ in range(hubs + 1 if j == 1 else hubs - j):
+            edges.append((j, leaf))
+            leaf += 1
+    return Graph(leaf, edges)
+
+
+def test_greedy_heaps_never_exceed_n_entries(monkeypatch):
+    """Greedy's key never rises, so it keeps one ranked entry per alive
+    vertex and re-keys a stale one when it is popped; no heap outgrows n."""
+    import targetset.solver as solver
+
+    push = solver.heappush
+    pushes = []
+
+    def watched(heap, item):
+        push(heap, item)
+        pushes.append((heap, len(heap), item))
+
+    monkeypatch.setattr(solver, "heappush", watched)
+    g = star_of_stars(23)
+    # Center and hubs need every neighbor; leaves alternate thresholds 1 and
+    # 2, so a seeded hub sends half its leaves to the ready queue and leaves
+    # the other half ranked with k = 1 and a lower degree.
+    t = [d if v <= 23 else 1 + v % 2 for v, d in enumerate(g.degrees)]
+    assert g.n == 279
+    assert greedy_tss(g, t).elimination_order == greedy_reference_order(g, t)
+    assert max(size for _, size, _ in pushes) <= g.n
+    ranked = [item for heap, _, item in pushes if heap is pushes[0][0]]
+    assert sum(-item % g.n == 0 for item in ranked) == 23  # center: 1 + 22 re-keys
+    for seed in range(40):
+        g, t = random_instance(seed)
+        pushes.clear()
+        greedy_tss(g, t)
+        assert max((size for _, size, _ in pushes), default=0) <= g.n
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_greedy_always_returns_a_target_set(seed):
