@@ -14,7 +14,7 @@ from .bounds import bound_new, bound_old
 from .diffusion import is_target_set
 from .generators import GraphSource, clique_graph, cycle_graph, random_tree
 from .graph import Graph
-from .reference import clique_optimum, exact_solve, greedy_tss
+from .reference import EXACT_CAP, clique_optimum, exact_solve, greedy_tss
 from .solver import tss_solve
 from .thresholds import assign_thresholds, constant_capped, random_in_degree
 
@@ -46,25 +46,31 @@ CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark run.
+    """One benchmark run, validated once here for the library and the CLI.
 
     With the constant-capped policy (plain ``const``; the sweep supplies
     every T) each value in ``sweep`` produces one instance per source and
-    repetition; other policies draw one assignment
-    per (source, repetition).  ``timings`` off keeps the CSV byte-identical
-    across runs; switch it on to study scaling.
+    repetition; ``sweep=None`` means T = 1..10 and an empty sweep is an
+    error.  Other policies draw one assignment per (source, repetition) and
+    take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
+    empty ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
+    byte-identical across runs; switch it on to study scaling.
     """
 
     sources: tuple[GraphSource, ...]
     policy: str = "const"
-    sweep: tuple[int, ...] = tuple(range(1, 11))
+    sweep: tuple[int, ...] | None = None
     algorithms: tuple[str, ...] = ("tss",)
     seed: int = 0
     repetitions: int = 1
     timings: bool = False
-    exact_cap: int = 24
+    exact_cap: int = EXACT_CAP
 
     def __post_init__(self):
+        if not self.sources:
+            raise ValueError("bench needs at least one graph source")
+        if not self.algorithms:
+            raise ValueError("bench needs at least one algorithm")
         for alg in self.algorithms:
             if alg not in ("tss", "greedy", "exact"):
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -73,11 +79,16 @@ class BenchConfig:
         kind = self.policy.partition(":")[0]
         if kind not in ("const", "random", "degree", "file"):
             raise ValueError(f"unknown threshold policy {self.policy!r}")
-        if kind == "const" and self.policy != "const":
+        if kind != "const":
+            if self.sweep is not None:
+                raise ValueError(f"--sweep needs the const policy; {self.policy!r} ignores it")
+        elif self.policy != "const":
             raise ValueError(
                 f"bench ignores T in {self.policy!r}; pass the const values with --sweep"
             )
-        if kind == "const" and not self.sweep:
+        elif self.sweep is None:
+            object.__setattr__(self, "sweep", tuple(range(1, 11)))
+        elif not self.sweep:
             raise ValueError("const policy needs a nonempty sweep")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -114,24 +125,25 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Build each instance, then solve, verify and bound it once per algorithm.
 
     Rows come in configuration order (source, repetition, sweep value,
-    algorithm).  A solver error such as an oversized exact instance becomes
-    an error row and the run continues; an emitted set that fails the
-    target-set re-check raises ``AssertionError``, because that is a bug.
-    A source that cannot be built (a missing edge file, say) raises
-    ``ValueError`` or ``OSError`` when the loop reaches it.
+    algorithm).  A policy other than ``const`` has no sweep: one instance
+    per (source, repetition), with ``t_param`` ``None``.  A solver error
+    such as an oversized exact instance becomes an error row and the run
+    continues; an emitted set that fails the target-set re-check raises
+    ``AssertionError``, because that is a bug.  A source that cannot be
+    built (a missing edge file, say) raises ``ValueError`` or ``OSError``
+    when the loop reaches it.
     """
     rows = []
-    is_const = cfg.policy == "const"
     for src in cfg.sources:
         for rep in range(cfg.repetitions):
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
             g = src.with_seed(gseed).build()
-            for t_param in cfg.sweep if is_const else (None,):
-                if is_const:
-                    t = constant_capped(g, t_param)
-                else:
+            for t_param in cfg.sweep or (None,):
+                if t_param is None:
                     tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
                     t = assign_thresholds(g, cfg.policy, tseed)
+                else:
+                    t = constant_capped(g, t_param)
                 for alg in cfg.algorithms:
                     rows.append(_solve_row(cfg, src.name, g, t, t_param, alg, gseed))
     return rows
@@ -187,7 +199,7 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
             g = clique_graph(n)
             t = sorted(rng.randint(1, n + 2) for _ in range(n))
         got = tss_solve(g, t).size
-        want = exact_solve(g, t, max_vertices=max(24, n)).optimum_size
+        want = exact_solve(g, t, max_vertices=max(EXACT_CAP, n)).optimum_size
         if got != want:
             mismatches.append(
                 f"{klass} n={n} seed={iseed}: solver size {got} != optimum {want}"

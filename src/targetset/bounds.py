@@ -37,22 +37,14 @@ from .thresholds import check_thresholds
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Both bounds and the solver size for one instance; plain data, the CLI
+    formats it."""
+
     bound_new: Fraction
     bound_old: Fraction
     v2_size: int
     applicable: bool
     tss_size: int
-
-    def to_text(self) -> str:
-        return "\n".join(
-            [
-                f"applicable {str(self.applicable).lower()}",
-                f"v2_size {self.v2_size}",
-                f"bound_new {self.bound_new} ({float(self.bound_new):g})",
-                f"bound_old {self.bound_old} ({float(self.bound_old):g})",
-                f"tss_size {self.tss_size}",
-            ]
-        )
 
 
 def _sum_min_one(numerators: Iterable[int], denominators: Iterable[int]) -> Fraction:

@@ -10,7 +10,7 @@ from .bounds import check_bound_dominance
 from .diffusion import format_trace, is_target_set, run_activation
 from .generators import GraphSource
 from .graph import Graph, load_edge_list, write_edge_list
-from .reference import exact_solve, greedy_tss
+from .reference import EXACT_CAP, exact_solve, greedy_tss
 from .solver import tss_solve
 from .thresholds import assign_thresholds, check_thresholds
 
@@ -60,23 +60,23 @@ def _cmd_solve(args) -> int:
     t = _build_thresholds(args, g)
     if args.alg == "exact":
         result = exact_solve(g, t, max_vertices=args.exact_cap)
-        report = None
         solution = result.witness
+        details = [f"subsets_examined {result.subsets_examined}"]
     else:
         report = (tss_solve if args.alg == "tss" else greedy_tss)(g, t)
         solution = report.target_set
+        details = [
+            "case_counts " + ",".join(str(c) for c in report.case_counts),
+            f"elapsed_ms {report.elapsed * 1000.0:.3f}",
+        ]
     if not is_target_set(g, t, solution):
         raise AssertionError("emitted set failed target-set verification")
     print(f"algorithm {args.alg}")
     print(f"n {g.n}")
     print(f"m {g.m}")
-    if report is not None:
-        print(report.to_text(g))
-    else:
-        print(f"size {len(solution)}")
-        print(f"subsets_examined {result.subsets_examined}")
-        ids = sorted(g.original_ids(solution))
-        print("target_set " + " ".join(str(x) for x in ids))
+    print(f"size {len(solution)}")
+    print("\n".join(details))
+    print("target_set " + " ".join(str(x) for x in sorted(g.original_ids(solution))))
     if args.trace:
         print("activation trace:")
         print(format_trace(run_activation(g, t, solution), g))
@@ -85,10 +85,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     sources = tuple(GraphSource.parse(spec) for spec in args.gen)
-    sweep = BenchConfig.sweep
+    sweep = None
     if args.sweep is not None:
-        if args.policy.partition(":")[0] != "const":
-            raise ValueError(f"--sweep needs the const policy; {args.policy!r} ignores it")
         lo, dots, hi = args.sweep.partition("..")
         try:
             sweep = tuple(range(int(lo), int(hi) + 1) if dots else map(int, args.sweep.split(",")))
@@ -133,7 +131,11 @@ def _cmd_bound(args) -> int:
     report = check_bound_dominance(g, t)
     print(f"n {g.n}")
     print(f"m {g.m}")
-    print(report.to_text())
+    print(f"applicable {str(report.applicable).lower()}")
+    print(f"v2_size {report.v2_size}")
+    print(f"bound_new {report.bound_new} ({float(report.bound_new):g})")
+    print(f"bound_old {report.bound_old} ({float(report.bound_old):g})")
+    print(f"tss_size {report.tss_size}")
     return EXIT_OK
 
 
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_args(p)
     p.add_argument("--alg", choices=("tss", "greedy", "exact"), default="tss")
     p.add_argument("--trace", action="store_true", help="print the activation trace")
-    p.add_argument("--exact-cap", type=int, default=24, help="vertex cap for --alg exact")
+    p.add_argument("--exact-cap", type=int, default=EXACT_CAP, help="vertex cap for --alg exact")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="threshold sweep over sources, CSV out")
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="fill elapsed_ms (off by default to keep CSV bytes reproducible)")
-    p.add_argument("--exact-cap", type=int, default=24)
+    p.add_argument("--exact-cap", type=int, default=EXACT_CAP)
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=_cmd_bench)
 

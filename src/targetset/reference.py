@@ -11,6 +11,8 @@ from .graph import Graph
 from .solver import SolverReport, _eliminate
 from .thresholds import check_thresholds
 
+EXACT_CAP = 24  # default vertex cap of exact_solve, the CLI and the bench harness
+
 
 @dataclass(frozen=True)
 class ExactResult:
@@ -127,7 +129,8 @@ def _min_seed_for_component(
     smaller solution), and a subtree is dropped when even seeding every
     remaining candidate at once would not activate the whole component
     (activation is monotone in the seed set).  Seeding the whole component
-    always works, so the search ends at the optimum.
+    always works, so the search ends at the optimum.  Size 0 only counts the
+    empty set, which activates nothing once no threshold is 0.
     """
     members = sorted(_iter_bits(comp_mask))
     examined = 0
@@ -136,41 +139,30 @@ def _min_seed_for_component(
     for idx in range(width - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] | (1 << members[idx])
 
-    def search(size: int) -> list[int] | None:
+    def rec(lo: int, closed: int, need: int) -> list[int] | None:
         nonlocal examined
-        chosen: list[int] = []
+        if need == 0:
+            examined += 1
+            return [] if closed == comp_mask else None
+        if _close_mask(closed | suffix[lo], members, adj_mask, tt, comp_mask) != comp_mask:
+            return None
+        for idx in range(lo, width - need + 1):
+            bit = 1 << members[idx]
+            if closed & bit:
+                continue
+            grown = _close_mask(closed | bit, members, adj_mask, tt, comp_mask)
+            rest = rec(idx + 1, grown, need - 1)
+            if rest is not None:
+                return [members[idx], *rest]
+        return None
 
-        def rec(lo: int, closed: int) -> bool:
-            nonlocal examined
-            if len(chosen) == size:
-                examined += 1
-                return closed == comp_mask
-            if _close_mask(closed | suffix[lo], members, adj_mask, tt, comp_mask) != comp_mask:
-                return False
-            need = size - len(chosen)
-            for idx in range(lo, width - need + 1):
-                u = members[idx]
-                bit = 1 << u
-                if closed & bit:
-                    continue
-                chosen.append(u)
-                if rec(idx + 1, _close_mask(closed | bit, members, adj_mask, tt, comp_mask)):
-                    return True
-                chosen.pop()
-            return False
-
-        return chosen if rec(0, 0) else None
-
-    examined += 1
-    if _close_mask(0, members, adj_mask, tt, comp_mask) == comp_mask:
-        return [], examined
-    size = 1
-    while (hit := search(size)) is None:
+    size = 0
+    while (hit := rec(0, 0, size)) is None:
         size += 1
     return hit, examined
 
 
-def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = 24) -> ExactResult:
+def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) -> ExactResult:
     """Exact minimum target set by exhaustive search over seed sets.
 
     Seed sets are tried in increasing cardinality (lexicographic within a

@@ -51,7 +51,8 @@ class Case(IntEnum):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Solve outcome: the target set plus elimination bookkeeping."""
+    """Solve outcome: the target set plus elimination bookkeeping; plain data,
+    the CLI formats it."""
 
     target_set: tuple[int, ...]
     elimination_order: list[tuple[int, Case]]
@@ -61,17 +62,6 @@ class SolverReport:
     @property
     def size(self) -> int:
         return len(self.target_set)
-
-    def to_text(self, g: Graph | None = None) -> str:
-        ids = sorted(g.original_ids(self.target_set)) if g is not None else list(self.target_set)
-        return "\n".join(
-            [
-                f"size {self.size}",
-                "case_counts " + ",".join(str(c) for c in self.case_counts),
-                f"elapsed_ms {self.elapsed * 1000.0:.3f}",
-                "target_set " + " ".join(str(x) for x in ids),
-            ]
-        )
 
 
 def _eliminate(

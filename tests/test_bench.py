@@ -81,6 +81,7 @@ def test_nonconst_policy_ignores_sweep():
         algorithms=("tss",),
         seed=0,
     )
+    assert cfg.sweep is None
     rows = run_bench(cfg)
     assert len(rows) == 1
     assert rows[0].t_param is None
@@ -129,6 +130,13 @@ def test_config_validation():
         BenchConfig(sources=src, policy="const:7", sweep=(2,))
     with pytest.raises(ValueError, match="repeated algorithm"):
         BenchConfig(sources=src, algorithms=("tss", "tss"))
+    with pytest.raises(ValueError, match="--sweep needs the const policy; 'degree' ignores it"):
+        BenchConfig(sources=src, policy="degree", sweep=(1, 2, 3))
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        BenchConfig(sources=src, algorithms=())
+    with pytest.raises(ValueError, match="at least one graph source"):
+        BenchConfig(sources=())
+    assert BenchConfig(sources=src).sweep == tuple(range(1, 11))
     for reps in (0, -2):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             BenchConfig(sources=src, repetitions=reps)

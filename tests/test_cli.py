@@ -1,6 +1,10 @@
+import csv
+import hashlib
+import io
+
 import pytest
 
-from targetset import SolverReport
+from targetset import CSV_HEADER, SolverReport
 from targetset.cli import main
 
 
@@ -10,11 +14,20 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def no_seeds(g, t):
+    """A broken solver stub: it returns the empty set for every instance."""
+    return SolverReport(target_set=(), elimination_order=[], case_counts=(0, 0, 0), elapsed=0.0)
+
+
 def test_solve_star_with_capped_center(capsys):
     code, out, _ = run(capsys, "solve", "--gen", "star:9", "--policy", "const:5", "--alg", "tss")
     assert code == 0
-    assert "size 1" in out
-    assert "target_set 0" in out
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "algorithm", "n", "m", "size", "case_counts", "elapsed_ms", "target_set"
+    ]
+    assert lines[3] == "size 1"
+    assert lines[-1] == "target_set 0"
 
 
 def test_solve_exact_on_unit_clique(capsys):
@@ -22,7 +35,7 @@ def test_solve_exact_on_unit_clique(capsys):
         capsys, "solve", "--gen", "clique:4", "--thresholds", "1,1,1,1", "--alg", "exact"
     )
     assert code == 0
-    assert "size 1" in out
+    assert out == "algorithm exact\nn 4\nm 6\nsize 1\nsubsets_examined 2\ntarget_set 0\n"
 
 
 def test_solve_edge_file_with_degree_policy_prints_cover(capsys, tmp_path):
@@ -55,10 +68,10 @@ def test_gen_then_solve_roundtrip(capsys, tmp_path):
 def test_bound_verb_star(capsys):
     code, out, _ = run(capsys, "bound", "--gen", "star:9", "--policy", "const:5")
     assert code == 0
-    assert "bound_new 1 (1)" in out
-    assert "bound_old 41/9" in out
-    assert "tss_size 1" in out
-    assert "applicable true" in out
+    assert out == (
+        "n 9\nm 8\napplicable true\nv2_size 1\n"
+        "bound_new 1 (1)\nbound_old 41/9 (4.55556)\ntss_size 1\n"
+    )
 
 
 def test_bench_verb_writes_csv(capsys, tmp_path):
@@ -118,6 +131,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bench", "--gen", "star:5", "--sweep", "1.."), "bad sweep '1..'"),
         (("bench", "--gen", "star:5", "--policy", "random", "--sweep", "1..3"), "--sweep"),
         (("bench", "--gen", "star:5", "--alg", "tss,greedy,tss"), "repeated algorithm"),
+        (("solve", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
+        (("bench", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
     ],
     ids=[
         "bench-reps-0",
@@ -129,6 +144,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bench-sweep-open-range",
         "bench-nonconst-sweep",
         "bench-repeated-alg",
+        "solve-file-no-path",
+        "bench-file-no-path",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
@@ -139,9 +156,6 @@ def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
 
 
 def test_failed_verification_exits_three(capsys, monkeypatch):
-    def no_seeds(g, t):
-        return SolverReport(target_set=(), elimination_order=[], case_counts=(0, 0, 0), elapsed=0.0)
-
     monkeypatch.setattr("targetset.bench.tss_solve", no_seeds)
     code, out, err = run(capsys, "bench", "--gen", "star:6", "--sweep", "1..2")
     assert code == 3
@@ -152,3 +166,82 @@ def test_failed_verification_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "--gen", "star:6", "--policy", "const:1")
     assert code == 3
     assert err == "BUG: emitted set failed target-set verification\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--seed", "3", "bench", "--gen", "gnp:2000:0.005", "--gen", "star:30",
+             "--gen", "tree:300", "--sweep", "1..10", "--alg", "tss,greedy"),
+            "0b5d657ccd02e0d132866da52b3313cc86799975ad5de1e7694205d01aaca145",
+        ),
+        (
+            ("--seed", "4", "bench", "--gen", "gnp:20:0.3", "--gen", "gnp:40:0.2",
+             "--policy", "random", "--alg", "tss,greedy,exact", "--reps", "3"),
+            "1fb6e6bc366c63b57a4a0ebe6ad19ae5672bac81b2775d5ac24fa6c412b1cf86",
+        ),
+        (
+            ("--seed", "5", "solve", "--gen", "gnp:300:0.02", "--policy", "random", "--trace"),
+            "bdcdb287faf2cfbe15c26032fc8f80b9bd16fc2439c2eb2b124bc05961ca54c2",
+        ),
+    ],
+    ids=["bench-const-sweep", "bench-random-reps", "solve-trace"],
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    kept = [line for line in out.splitlines(keepends=True) if not line.startswith("elapsed_ms ")]
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
+
+
+def test_file_policy_reads_thresholds_by_original_id(capsys, tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("10 20\n20 30\n30 40\n40 10\n10 30\n")
+    thresholds = tmp_path / "t.txt"
+    thresholds.write_text("10 2\n20 1\n30 2\n40 1\n")
+    policy = f"file:{thresholds}"
+    code, out, _ = run(capsys, "solve", "--edges", str(edges), "--policy", policy, "--alg", "greedy")
+    assert code == 0
+    assert out.splitlines()[-1] == "target_set 30"
+
+    code, out, err = run(
+        capsys, "bench", "--gen", f"edges:{edges}", "--policy", policy, "--alg", "tss,exact"
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["algorithm"], r["t_param"], r["solution_size"]) for r in rows] == [
+        ("tss", "", "1"), ("exact", "", "1")
+    ]
+    # bound_old = sum of t/(d+1) = 2/4 + 1/3 + 2/4 + 1/3 under the file's thresholds.
+    assert {r["bound_old"] for r in rows} == {"1.66667"}
+
+
+def test_bench_writes_csv_to_stdout_and_notes_error_rows(capsys):
+    code, out, err = run(
+        capsys, "bench", "--gen", "gnp:40:0.2", "--sweep", "1..2", "--alg", "tss,exact",
+        "--out", "-",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[4] for line in lines[1:]] == ["tss", "exact", "tss", "exact"]
+    assert err == (
+        "note: gnp:40:0.2 t=1 exact: instance too large for exact solver\n"
+        "note: gnp:40:0.2 t=2 exact: instance too large for exact solver\n"
+    )
+
+
+def test_verify_prints_mismatches_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("targetset.bench.tss_solve", no_seeds)
+    code, out, err = run(
+        capsys, "--seed", "2", "verify", "--class", "clique", "--n-max", "6", "--instances", "3"
+    )
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert all(
+        line.startswith("MISMATCH clique n=") and "solver size 0 != optimum" in line
+        for line in lines[:3]
+    )
+    assert lines[3] == "clique: 3 instances, 3 mismatches"
