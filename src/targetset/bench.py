@@ -53,8 +53,10 @@ class BenchConfig:
     repetition; ``sweep=None`` means T = 1..10 and an empty sweep is an
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
-    empty ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
-    byte-identical across runs; switch it on to study scaling.
+    a sweep value that is not an int or is repeated, ``repetitions`` that is
+    not an int >= 1, and empty ``sources`` or ``algorithms``.  ``timings``
+    off keeps the CSV byte-identical across runs; switch it on to study
+    scaling.
     """
 
     sources: tuple[GraphSource, ...]
@@ -90,6 +92,15 @@ class BenchConfig:
             object.__setattr__(self, "sweep", tuple(range(1, 11)))
         elif not self.sweep:
             raise ValueError("const policy needs a nonempty sweep")
+        seen: set[int] = set()
+        for value in self.sweep or ():
+            if type(value) is not int:
+                raise ValueError(f"sweep value {value!r} is not an int")
+            if value in seen:
+                raise ValueError(f"repeated sweep value {value}")
+            seen.add(value)
+        if type(self.repetitions) is not int:
+            raise ValueError(f"repetitions must be an int, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 

@@ -8,40 +8,61 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from numbers import Real
 
 from .graph import Graph, load_edge_list
+
+
+def _check_size(kind: str, n, least: int) -> None:
+    """Reject a vertex count that is not an int (a bool included) or is
+    below ``least``, with ``ValueError``."""
+    if type(n) is not int:
+        raise ValueError(f"{kind} needs an int n, got {n!r}")
+    if n < least:
+        raise ValueError(f"{kind} needs n >= {least}")
 
 
 def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     """Erdos-Renyi G(n, p): every vertex pair is an edge independently with
     probability p, reproducibly from the seed.
 
-    Uses geometric skip sampling, so the cost is O(n + m) rather than one
-    Bernoulli draw per pair; the edge distribution is the same.
+    Uses geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71,
+    036113, 2005), so the cost is O(n + m) rather than one Bernoulli draw
+    per pair; the edge distribution is the same.  The pairs (v, w), w < v,
+    are visited in lexicographic order, so each vertex receives its smaller
+    neighbors in increasing order before any larger one, also in increasing
+    order: every adjacency list comes out sorted, without repeats or
+    self-loops, and goes to the graph as it is.
     """
-    if n < 1:
-        raise ValueError("gnp needs n >= 1")
+    _check_size("gnp", n, 1)
+    if not isinstance(p, Real):
+        raise ValueError(f"gnp needs a real p, got {p!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("gnp needs 0 < p < 1")
-    rng = random.Random(seed)
+    uniform = random.Random(seed).random
+    log = math.log
     log_q = math.log1p(-p)
-    edges: list[tuple[int, int]] = []
+    pairs = n * (n - 1) // 2
+    adj: list[list[int]] = [[] for _ in range(n)]
     v, w = 1, -1
     while v < n:
-        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        skip = log(1.0 - uniform()) / log_q
+        if skip >= pairs:  # passes the last pair; may be inf for a tiny p
+            break
+        w += 1 + int(skip)
         while w >= v and v < n:
             w -= v
             v += 1
         if v < n:
-            edges.append((v, w))
-    return Graph(n, edges)
+            adj[v].append(w)
+            adj[w].append(v)
+    return Graph._from_adjacency(adj)
 
 
 def random_tree(n: int, seed: int | None = None) -> Graph:
     """Uniform random labeled tree on n vertices, decoded from a random
     Prufer sequence."""
-    if n < 1:
-        raise ValueError("tree needs n >= 1")
+    _check_size("tree", n, 1)
     if n == 1:
         return Graph(1)
     if n == 2:
@@ -67,21 +88,18 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    _check_size("cycle", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def clique_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("clique needs n >= 1")
+    _check_size("clique", n, 1)
     return Graph(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices; vertex 0 is the center."""
-    if n < 2:
-        raise ValueError("star needs n >= 2")
+    _check_size("star", n, 2)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 

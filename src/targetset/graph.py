@@ -22,6 +22,12 @@ class Graph:
     endpoint that is not an int (a bool or a float included) raises
     ``ValueError``.  The adjacency lists are exposed directly for speed and
     must not be mutated.
+
+    :meth:`_from_adjacency` wraps lists that already hold this invariant
+    without checking it: each list is strictly increasing, holds int ids of
+    other vertices only, and ``u`` is in ``adj[v]`` exactly when ``v`` is in
+    ``adj[u]``.  Its one caller is ``generators.gnp``, whose skip sampler
+    emits such lists.
     """
 
     __slots__ = ("n", "m", "_adj", "labels")
@@ -63,6 +69,17 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal the vertex count")
+
+    @classmethod
+    def _from_adjacency(cls, adj: list[list[int]]) -> "Graph":
+        """Unlabelled graph on ``len(adj)`` vertices that takes ``adj`` as its
+        adjacency unchecked; the caller guarantees the class invariant."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.m = sum(map(len, adj)) // 2
+        g._adj = adj
+        g.labels = None
+        return g
 
     @property
     def adjacency(self) -> list[list[int]]:

@@ -140,6 +140,14 @@ def test_config_validation():
     for reps in (0, -2):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             BenchConfig(sources=src, repetitions=reps)
+    for reps in (1.5, True):
+        with pytest.raises(ValueError, match="repetitions must be an int"):
+            BenchConfig(sources=src, repetitions=reps)
+    for sweep in ((1.5,), ("2",), (1, True)):
+        with pytest.raises(ValueError, match="is not an int"):
+            BenchConfig(sources=src, sweep=sweep)
+    with pytest.raises(ValueError, match="repeated sweep value 2"):
+        BenchConfig(sources=src, sweep=(2, 3, 2))
     with pytest.raises(ValueError, match="instances must be >= 1"):
         run_verify("tree", n_max=5, instances=0)
     for n_max in (2, -5):

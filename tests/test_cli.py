@@ -131,6 +131,7 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bench", "--gen", "star:5", "--sweep", "1.."), "bad sweep '1..'"),
         (("bench", "--gen", "star:5", "--policy", "random", "--sweep", "1..3"), "--sweep"),
         (("bench", "--gen", "star:5", "--alg", "tss,greedy,tss"), "repeated algorithm"),
+        (("bench", "--gen", "star:5", "--sweep", "2,2"), "repeated sweep value 2"),
         (("solve", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
         (("bench", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
     ],
@@ -144,6 +145,7 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bench-sweep-open-range",
         "bench-nonconst-sweep",
         "bench-repeated-alg",
+        "bench-repeated-sweep",
         "solve-file-no-path",
         "bench-file-no-path",
     ],

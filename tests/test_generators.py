@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetset import (
+    Graph,
     GraphSource,
     clique_graph,
     connected_components,
@@ -41,6 +45,22 @@ def test_generator_parameter_validation():
         gnp(10, 1.0)
     with pytest.raises(ValueError):
         gnp(0, 0.5)
+    # sizes and probabilities of the wrong type fail at the boundary
+    bad_calls = [
+        (random_tree, 2.5), (random_tree, True), (cycle_graph, 3.0), (clique_graph, 2.0),
+        (star_graph, 2.0), (gnp, 2.5, 0.5), (gnp, True, 0.5), (gnp, "10", 0.5),
+        (gnp, 10, "0.5"), (gnp, 10, None),
+    ]
+    for fn, *args in bad_calls:
+        with pytest.raises(ValueError):
+            fn(*args)
+
+
+def test_gnp_with_a_tiny_p_has_no_edges():
+    for p in (5e-324, 1e-310):
+        g = gnp(5, p, seed=1)
+        assert (g.n, g.m) == (5, 0)
+    assert GraphSource.parse("gnp:5:1e-310").build().m == 0
 
 
 def test_gnp_deterministic_under_seed():
@@ -55,6 +75,38 @@ def test_gnp_edge_count_roughly_matches_expectation():
     g = gnp(200, 0.2, seed=1)
     expected = 0.2 * 200 * 199 / 2
     assert 0.7 * expected < g.m < 1.3 * expected
+
+
+def gnp_via_edge_list(n, p, seed):
+    """The same skip sampler through the checking constructor: collect the
+    edge tuples, then let ``Graph`` sort and de-duplicate them."""
+    rng = random.Random(seed)
+    log_q = math.log1p(-p)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((v, w))
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.floats(0.001, 0.999) | st.sampled_from([1e-9, 0.5, 1 - 1e-9]),
+    st.integers(0, 2**64),
+)
+def test_gnp_matches_edge_list_construction(n, p, seed):
+    g = gnp(n, p, seed=seed)
+    expected = gnp_via_edge_list(n, p, seed)
+    assert (g.n, g.m, g.labels) == (expected.n, expected.m, None)
+    assert g.adjacency == expected.adjacency
+    rebuilt = Graph(g.n, g.edges())
+    assert (rebuilt.m, rebuilt.adjacency) == (g.m, g.adjacency)
 
 
 @settings(max_examples=50)
