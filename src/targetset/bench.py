@@ -6,16 +6,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-import time
 from dataclasses import astuple, dataclass, field, fields
 from typing import IO, Sequence
 
 from .bounds import bound_new, bound_old
-from .diffusion import is_target_set
 from .generators import GraphSource, clique_graph, cycle_graph, random_tree
-from .graph import Graph
-from .reference import EXACT_CAP, clique_optimum, exact_solve, greedy_tss
-from .solver import tss_solve
+from .graph import _check_int
+from .reference import ALGORITHMS, EXACT_CAP, TSS, clique_optimum, exact_solve, solve
 from .thresholds import assign_thresholds, constant_capped, random_in_degree
 
 
@@ -54,15 +51,15 @@ class BenchConfig:
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
     a sweep value that is not an int or is repeated, ``repetitions`` that is
-    not an int >= 1, and empty ``sources`` or ``algorithms``.  ``timings``
-    off keeps the CSV byte-identical across runs; switch it on to study
-    scaling.
+    not an int >= 1, an ``exact_cap`` that is not an int, and empty
+    ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
+    byte-identical across runs; switch it on to study scaling.
     """
 
     sources: tuple[GraphSource, ...]
     policy: str = "const"
     sweep: tuple[int, ...] | None = None
-    algorithms: tuple[str, ...] = ("tss",)
+    algorithms: tuple[str, ...] = (TSS,)
     seed: int = 0
     repetitions: int = 1
     timings: bool = False
@@ -74,7 +71,7 @@ class BenchConfig:
         if not self.algorithms:
             raise ValueError("bench needs at least one algorithm")
         for alg in self.algorithms:
-            if alg not in ("tss", "greedy", "exact"):
+            if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"repeated algorithm in {','.join(self.algorithms)!r}")
@@ -99,37 +96,8 @@ class BenchConfig:
             if value in seen:
                 raise ValueError(f"repeated sweep value {value}")
             seen.add(value)
-        if type(self.repetitions) is not int:
-            raise ValueError(f"repetitions must be an int, got {self.repetitions!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-
-def _solve_row(
-    cfg: BenchConfig, name: str, g: Graph, t: list[int], t_param: int | None, alg: str, seed: int
-) -> BenchRow:
-    instance = dict(graph_name=name, n=g.n, m=g.m, t_param=t_param, algorithm=alg, seed=seed)
-    start = time.perf_counter()
-    try:
-        if alg == "tss":
-            solution = tss_solve(g, t).target_set
-        elif alg == "greedy":
-            solution = greedy_tss(g, t).target_set
-        else:
-            solution = exact_solve(g, t, max_vertices=cfg.exact_cap).witness
-    except ValueError as exc:
-        return BenchRow(**instance, solution_size=None, bound_new="", bound_old="",
-                        elapsed_ms="", error=str(exc))
-    elapsed = time.perf_counter() - start
-    if not is_target_set(g, t, solution):
-        raise AssertionError("verification failed: output is not a target set")
-    return BenchRow(
-        **instance,
-        solution_size=len(solution),
-        bound_new=f"{float(bound_new(g, t)):.6g}",
-        bound_old=f"{float(bound_old(g, t)):.6g}",
-        elapsed_ms=f"{elapsed * 1000.0:.3f}" if cfg.timings else "",
-    )
+        _check_int("repetitions", self.repetitions, 1)
+        _check_int("exact_cap", self.exact_cap)
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
@@ -156,7 +124,21 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
                 else:
                     t = constant_capped(g, t_param)
                 for alg in cfg.algorithms:
-                    rows.append(_solve_row(cfg, src.name, g, t, t_param, alg, gseed))
+                    instance = dict(graph_name=src.name, n=g.n, m=g.m, t_param=t_param,
+                                    algorithm=alg, seed=gseed)
+                    try:
+                        solution, seconds = solve(g, t, alg, cfg.exact_cap)[1:]
+                    except ValueError as exc:
+                        rows.append(BenchRow(**instance, solution_size=None, bound_new="",
+                                             bound_old="", elapsed_ms="", error=str(exc)))
+                        continue
+                    rows.append(BenchRow(
+                        **instance,
+                        solution_size=len(solution),
+                        bound_new=f"{float(bound_new(g, t)):.6g}",
+                        bound_old=f"{float(bound_old(g, t)):.6g}",
+                        elapsed_ms=f"{seconds * 1000.0:.3f}" if cfg.timings else "",
+                    ))
     return rows
 
 
@@ -191,10 +173,8 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
     """
     if klass not in ("tree", "cycle", "clique"):
         raise ValueError(f"unknown verification class {klass!r}")
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
+    _check_int("instances", instances, 1)
+    _check_int("n_max", n_max, 3)
     mismatches: list[str] = []
     for i in range(instances):
         iseed = derive_seed(seed, klass, i)
@@ -209,7 +189,7 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
         else:
             g = clique_graph(n)
             t = sorted(rng.randint(1, n + 2) for _ in range(n))
-        got = tss_solve(g, t).size
+        got = solve(g, t, TSS)[0].size
         want = exact_solve(g, t, max_vertices=max(EXACT_CAP, n)).optimum_size
         if got != want:
             mismatches.append(

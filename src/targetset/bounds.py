@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graph import Graph, connected_components
-from .solver import tss_solve
+from .reference import TSS, solve
 from .thresholds import check_thresholds
 
 
@@ -85,7 +85,8 @@ def bound_old(g: Graph, t: Sequence[int]) -> Fraction:
 
 
 def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:
-    """Compute both bounds, solve, and check the provable relations.
+    """Compute both bounds, solve (``reference.solve`` re-checks the set), and
+    check the provable relations.
 
     ``applicable`` is true iff every connected component has at least 3
     vertices (for a connected graph: n >= 3).  When applicable, the report
@@ -95,7 +96,7 @@ def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:
     """
     bn = bound_new(g, t)
     bo = bound_old(g, t)
-    report = tss_solve(g, t)
+    report = solve(g, t, TSS)[0]
     v2_size = sum(1 for nbrs in g.adjacency if len(nbrs) >= 2)
     applicable = g.n >= 3 and all(len(c) >= 3 for c in connected_components(g))
     if applicable:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from numbers import Real
 
-from .graph import Graph, load_edge_list
+from .graph import Graph, _rng, load_edge_list
 
 
 def _check_size(kind: str, n, least: int) -> None:
@@ -39,7 +38,7 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
         raise ValueError(f"gnp needs a real p, got {p!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("gnp needs 0 < p < 1")
-    uniform = random.Random(seed).random
+    uniform = _rng(seed).random
     log = math.log
     log_q = math.log1p(-p)
     pairs = n * (n - 1) // 2
@@ -63,11 +62,11 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
     """Uniform random labeled tree on n vertices, decoded from a random
     Prufer sequence."""
     _check_size("tree", n, 1)
+    rng = _rng(seed)
     if n == 1:
         return Graph(1)
     if n == 2:
         return Graph(2, [(0, 1)])
-    rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:

@@ -8,6 +8,7 @@ lists.  Graphs loaded from edge-list files keep the original external ids in
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -19,9 +20,9 @@ class Graph:
     The constructor normalizes its input: self-loops are dropped, every
     adjacency list is sorted, and a list that then holds a repeated neighbor
     (a duplicate edge, in either orientation) is rebuilt without it.  An
-    endpoint that is not an int (a bool or a float included) raises
-    ``ValueError``.  The adjacency lists are exposed directly for speed and
-    must not be mutated.
+    endpoint that is not an int (a bool or a float included) and a repeated
+    label raise ``ValueError``.  The adjacency lists are exposed directly for
+    speed and must not be mutated.
 
     :meth:`_from_adjacency` wraps lists that already hold this invariant
     without checking it: each list is strictly increasing, holds int ids of
@@ -69,6 +70,8 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal the vertex count")
+        if self.labels is not None and len(set(self.labels)) < n:
+            raise ValueError("labels must be distinct")
 
     @classmethod
     def _from_adjacency(cls, adj: list[list[int]]) -> "Graph":
@@ -111,6 +114,23 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Reject ``value`` with ``ValueError`` unless it is an int (a bool is
+    not) and, when ``least`` is given, at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _rng(seed: int | None) -> random.Random:
+    """The random stream of an int seed (a bool is not one), or a freshly
+    seeded stream for ``None``; any other seed raises ``ValueError``."""
+    if seed is not None:
+        _check_int("seed", seed)
+    return random.Random(seed)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -3,15 +3,18 @@ small instances, and the closed-form optimum for cliques."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .diffusion import is_target_set
-from .graph import Graph
-from .solver import SolverReport, _eliminate
+from .graph import Graph, _check_int
+from .solver import SolverReport, _eliminate, tss_solve
 from .thresholds import check_thresholds
 
 EXACT_CAP = 24  # default vertex cap of exact_solve, the CLI and the bench harness
+ALGORITHMS = ("tss", "greedy", "exact")  # the names solve() takes; the first is the default
+TSS, _, EXACT = ALGORITHMS
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,7 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
             exact solver").
     """
     check_thresholds(g, t)
+    _check_int("max_vertices", max_vertices)
     n = g.n
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")
@@ -206,6 +210,32 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
     return result
 
 
+def solve(
+    g: Graph, t: Sequence[int], alg: str, exact_cap: int = EXACT_CAP
+) -> tuple[SolverReport | ExactResult, tuple[int, ...], float]:
+    """Run algorithm ``alg`` and re-check its set; return ``(result,
+    solution, seconds)``, with the solver call alone timed.  An unknown name
+    raises ``ValueError``; a set that is not a target set is a solver bug and
+    raises ``AssertionError``, also under ``python -O``."""
+    if alg not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    start = time.perf_counter()
+    if alg == EXACT:
+        result = exact_solve(g, t, max_vertices=exact_cap)
+        solution = result.witness
+    else:
+        result = (tss_solve if alg == TSS else greedy_tss)(g, t)
+        solution = result.target_set
+    seconds = time.perf_counter() - start
+    try:
+        ok = is_target_set(g, t, solution)
+    except ValueError:  # the set holds an id that is not a vertex
+        ok = False
+    if not ok:
+        raise AssertionError(f"{alg} emitted a set that is not a target set")
+    return result, solution, seconds
+
+
 def clique_optimum(thresholds_sorted: Sequence[int], n: int | None = None) -> int:
     """Optimal target set size for a clique, from its sorted threshold list.
 
@@ -216,6 +246,8 @@ def clique_optimum(thresholds_sorted: Sequence[int], n: int | None = None) -> in
         m + max over 1 <= j <= n-m of max(t(u_j) - m - j + 1, 0).
     """
     ts = list(thresholds_sorted)
+    for tv in ts:
+        _check_int("threshold", tv, 0)
     if n is None:
         n = len(ts)
     elif n != len(ts):

@@ -31,7 +31,6 @@ first entry that matches its vertex's key is still the maximum.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush
@@ -57,7 +56,6 @@ class SolverReport:
     target_set: tuple[int, ...]
     elimination_order: list[tuple[int, Case]]
     case_counts: tuple[int, int, int]
-    elapsed: float
 
     @property
     def size(self) -> int:
@@ -87,7 +85,6 @@ def _eliminate(
     current key is the largest current key.  A key that can rise would leave
     its entry below the key, and the heap would pop the wrong vertex.
     """
-    start = time.perf_counter()
     n = g.n
     adj = g.adjacency
     alive = [True] * n
@@ -154,12 +151,10 @@ def _eliminate(
             if not falling:
                 heappush(ranked, -key(ku, du, u))
 
-    elapsed = time.perf_counter() - start
     return SolverReport(
         target_set=tuple(sorted(target)),
         elimination_order=order,
         case_counts=(counts[0], counts[1], counts[2]),
-        elapsed=elapsed,
     )
 
 

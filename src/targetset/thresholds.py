@@ -7,11 +7,10 @@ activates (0 means it activates on its own).
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 from typing import IO, Sequence
 
-from .graph import Graph, _read_int_pairs
+from .graph import Graph, _check_int, _read_int_pairs, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
@@ -30,6 +29,7 @@ def constant_capped(g: Graph, t: int) -> list[int]:
     Isolated vertices get 0 under this policy (min(t, 0) = 0), i.e. they
     self-activate; real social networks have none.
     """
+    _check_int("constant-capped t", t)
     if t < 1:
         raise ValueError("constant-capped policy needs t >= 1")
     return [min(t, len(nbrs)) for nbrs in g.adjacency]
@@ -37,7 +37,7 @@ def constant_capped(g: Graph, t: int) -> list[int]:
 
 def random_in_degree(g: Graph, seed: int | None = None) -> list[int]:
     """Uniform random t(v) in [1, d(v)] per vertex (0 for isolated vertices)."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     return [rng.randint(1, len(nbrs)) if nbrs else 0 for nbrs in g.adjacency]
 
 

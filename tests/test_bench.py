@@ -143,6 +143,9 @@ def test_config_validation():
     for reps in (1.5, True):
         with pytest.raises(ValueError, match="repetitions must be an int"):
             BenchConfig(sources=src, repetitions=reps)
+    for cap in ("x", 24.0, True):
+        with pytest.raises(ValueError, match="exact_cap must be an int"):
+            BenchConfig(sources=src, exact_cap=cap)
     for sweep in ((1.5,), ("2",), (1, True)):
         with pytest.raises(ValueError, match="is not an int"):
             BenchConfig(sources=src, sweep=sweep)
@@ -153,6 +156,11 @@ def test_config_validation():
     for n_max in (2, -5):
         with pytest.raises(ValueError, match="n_max must be >= 3"):
             run_verify("tree", n_max=n_max, instances=3)
+    with pytest.raises(ValueError, match="n_max must be an int"):
+        run_verify("tree", n_max=5.5, instances=3)
+    for instances in (2.5, True):
+        with pytest.raises(ValueError, match="instances must be an int"):
+            run_verify("tree", n_max=5, instances=instances)
 
 
 def test_derive_seed_is_stable_and_sensitive():

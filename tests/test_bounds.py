@@ -115,8 +115,10 @@ def test_two_vertex_component_marks_inapplicable():
 
 
 def test_contract_checks_survive_python_O():
-    # Forced failures of the dominance check and of the exact solver's
-    # witness re-check must still raise when asserts are stripped.
+    # Forced failures of the dominance check, of solve's re-check and of the
+    # exact solver's witness re-check must still raise when asserts are
+    # stripped.  is_target_set is broken only after the dominance check, which
+    # re-checks its tss set through solve first.
     script = """
 import sys
 from fractions import Fraction
@@ -127,8 +129,14 @@ from targetset import star_graph
 assert sys.flags.optimize
 g, t = star_graph(9), [5] + [1] * 8
 bounds.bound_old = lambda g, t: Fraction(0)
-reference.is_target_set = lambda g, t, seeds: False
-for check in (bounds.check_bound_dominance, reference.exact_solve):
+checks = (
+    bounds.check_bound_dominance,
+    lambda g, t: reference.solve(g, t, "tss"),
+    reference.exact_solve,
+)
+for i, check in enumerate(checks):
+    if i == 1:
+        reference.is_target_set = lambda g, t, seeds: False
     try:
         check(g, t)
     except AssertionError as exc:
@@ -144,6 +152,7 @@ for check in (bounds.check_bound_dominance, reference.exact_solve):
     )
     assert result.stdout.splitlines() == [
         "raised: sharper bound 1 exceeds older bound 0",
+        "raised: tss emitted a set that is not a target set",
         "raised: exact witness is not a target set",
     ]
 

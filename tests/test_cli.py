@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 
 import pytest
 
@@ -16,7 +17,12 @@ def run(capsys, *argv):
 
 def no_seeds(g, t):
     """A broken solver stub: it returns the empty set for every instance."""
-    return SolverReport(target_set=(), elimination_order=[], case_counts=(0, 0, 0), elapsed=0.0)
+    return SolverReport(target_set=(), elimination_order=[], case_counts=(0, 0, 0))
+
+
+def all_seeds(g, t):
+    """A poor but valid solver stub: it seeds every vertex."""
+    return SolverReport(target_set=tuple(range(g.n)), elimination_order=[], case_counts=(0, 0, 0))
 
 
 def test_solve_star_with_capped_center(capsys):
@@ -158,16 +164,26 @@ def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
 
 
 def test_failed_verification_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr("targetset.bench.tss_solve", no_seeds)
-    code, out, err = run(capsys, "bench", "--gen", "star:6", "--sweep", "1..2")
-    assert code == 3
-    assert out == ""
-    assert err == "BUG: verification failed: output is not a target set\n"
+    monkeypatch.setattr("targetset.reference.tss_solve", no_seeds)
+    for argv in (
+        ("bench", "--gen", "star:6", "--sweep", "1..2"),
+        ("solve", "--gen", "star:6", "--policy", "const:1"),
+        ("verify", "--class", "tree", "--n-max", "8", "--instances", "5"),
+        ("--seed", "2", "bound", "--gen", "gnp:40:0.15", "--policy", "random"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == "BUG: tss emitted a set that is not a target set\n"
 
-    monkeypatch.setattr("targetset.cli.tss_solve", no_seeds)
-    code, _, err = run(capsys, "solve", "--gen", "star:6", "--policy", "const:1")
-    assert code == 3
-    assert err == "BUG: emitted set failed target-set verification\n"
+
+def test_out_of_range_solver_output_exits_three(capsys, monkeypatch):
+    def past_the_end(g, t):
+        return SolverReport(target_set=(g.n,), elimination_order=[], case_counts=(0, 0, 0))
+
+    monkeypatch.setattr("targetset.reference.tss_solve", past_the_end)
+    code, out, err = run(capsys, "bench", "--gen", "star:6", "--sweep", "1")
+    assert (code, out) == (3, "")
+    assert err == "BUG: tss emitted a set that is not a target set\n"
 
 
 @pytest.mark.parametrize(
@@ -187,8 +203,16 @@ def test_failed_verification_exits_three(capsys, monkeypatch):
             ("--seed", "5", "solve", "--gen", "gnp:300:0.02", "--policy", "random", "--trace"),
             "bdcdb287faf2cfbe15c26032fc8f80b9bd16fc2439c2eb2b124bc05961ca54c2",
         ),
+        (
+            ("--seed", "2", "bound", "--gen", "gnp:40:0.15", "--policy", "random"),
+            "bfe8dee88957b4b97d354bf25574f898693e6eaf5113cc23b8c3ce42c9562f99",
+        ),
+        (
+            ("--seed", "3", "verify", "--class", "tree", "--n-max", "10", "--instances", "30"),
+            "2e674bb3fbe313179c035a020a1da7013deb79eaaf2d90d793b31cdabeac631b",
+        ),
     ],
-    ids=["bench-const-sweep", "bench-random-reps", "solve-trace"],
+    ids=["bench-const-sweep", "bench-random-reps", "solve-trace", "bound-gnp", "verify-tree"],
 )
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
@@ -235,15 +259,16 @@ def test_bench_writes_csv_to_stdout_and_notes_error_rows(capsys):
 
 
 def test_verify_prints_mismatches_and_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("targetset.bench.tss_solve", no_seeds)
+    monkeypatch.setattr("targetset.reference.tss_solve", all_seeds)
     code, out, err = run(
         capsys, "--seed", "2", "verify", "--class", "clique", "--n-max", "6", "--instances", "3"
     )
     assert (code, err) == (1, "")
-    lines = out.splitlines()
-    assert len(lines) == 4
-    assert all(
-        line.startswith("MISMATCH clique n=") and "solver size 0 != optimum" in line
-        for line in lines[:3]
+    *mismatches, summary = out.splitlines()
+    # The stub seeds all n vertices: a valid set, larger than the optimum
+    # unless every threshold is at least n.
+    assert mismatches and all(
+        re.fullmatch(r"MISMATCH clique n=(\d+) seed=\d+: solver size \1 != optimum \d+", line)
+        for line in mismatches
     )
-    assert lines[3] == "clique: 3 instances, 3 mismatches"
+    assert summary == f"clique: 3 instances, {len(mismatches)} mismatches"

@@ -50,10 +50,13 @@ def test_generator_parameter_validation():
         (random_tree, 2.5), (random_tree, True), (cycle_graph, 3.0), (clique_graph, 2.0),
         (star_graph, 2.0), (gnp, 2.5, 0.5), (gnp, True, 0.5), (gnp, "10", 0.5),
         (gnp, 10, "0.5"), (gnp, 10, None),
+        # a seed is an int or None: True would pass as 1, 1.5 and "x" as hashables
+        (gnp, 6, 0.5, True), (gnp, 6, 0.5, 1.5), (random_tree, 6, "x"), (random_tree, 1, 1.0),
     ]
     for fn, *args in bad_calls:
         with pytest.raises(ValueError):
             fn(*args)
+    assert gnp(6, 0.5, None).n == random_tree(6, None).n == 6
 
 
 def test_gnp_with_a_tiny_p_has_no_edges():

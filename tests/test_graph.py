@@ -38,6 +38,11 @@ def test_edge_out_of_range_rejected():
             Graph(n, edges)
 
 
+def test_repeated_labels_rejected():
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        Graph(3, [(0, 1)], labels=[5, 5, 6])
+
+
 def test_degree_sum_is_twice_edge_count():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     assert sum(g.degrees) == 2 * g.m

@@ -17,6 +17,7 @@ from targetset import (
     star_graph,
     tss_solve,
 )
+from targetset.reference import ALGORITHMS, solve
 from conftest import path_graph, random_instance
 
 
@@ -50,6 +51,9 @@ def test_exact_respects_vertex_cap():
     with pytest.raises(ValueError, match="too large"):
         exact_solve(g, [1] * 30)
     exact_solve(g, [1] * 30, max_vertices=30)  # override is allowed
+    for cap in (30.5, True):
+        with pytest.raises(ValueError, match="max_vertices must be an int"):
+            exact_solve(g, [1] * 30, max_vertices=cap)
 
 
 def test_exact_budget_equal_to_n_always_succeeds():
@@ -188,6 +192,10 @@ def test_clique_closed_form_validates_input():
         clique_optimum([2, 1])
     with pytest.raises(ValueError, match="expected"):
         clique_optimum([1, 2], n=3)
+    with pytest.raises(ValueError, match="threshold must be an int"):
+        clique_optimum([1.5, 2])
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        clique_optimum([-3, 2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,3 +207,14 @@ def test_clique_closed_form_matches_oracle(n, seed):
     t = sorted(rng.randint(0, n + 2) for _ in range(n))
     g = clique_graph(n)
     assert clique_optimum(t, n) == exact_solve(g, t).optimum_size
+
+
+def test_solve_runs_each_algorithm_and_rejects_unknown_names():
+    g = star_graph(6)
+    t = [3] + [1] * 5
+    for alg in ALGORITHMS:
+        result, solution, seconds = solve(g, t, alg)
+        emitted = result.witness if alg == "exact" else result.target_set
+        assert solution == emitted == (0,) and seconds >= 0.0
+    with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+        solve(g, t, "magic")

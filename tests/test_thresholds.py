@@ -27,8 +27,9 @@ def test_constant_capped_on_path():
 
 
 def test_constant_capped_requires_positive_t():
-    with pytest.raises(ValueError):
-        constant_capped(path_graph(3), 0)
+    for t in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            constant_capped(path_graph(3), t)
 
 
 def test_constant_capped_isolated_vertex_gets_zero():
@@ -85,6 +86,10 @@ def test_assign_thresholds_dispatch():
         assign_thresholds(g, "mystery")
     with pytest.raises(ValueError):
         assign_thresholds(g, "const:x")
+    for seed in (True, 1.5, [1]):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            assign_thresholds(g, "random", seed)
+    assert len(random_in_degree(g, None)) == 3
 
 
 def test_policy_outputs_stay_within_degree_ranges():
