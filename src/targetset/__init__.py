@@ -22,7 +22,6 @@ from .bench import (
 from .bounds import BoundReport, bound_new, bound_old, check_bound_dominance
 from .diffusion import (
     ActivationTrace,
-    activation_closure,
     format_trace,
     is_target_set,
     run_activation,
@@ -67,7 +66,6 @@ __all__ = [
     "GraphSource",
     "SolverReport",
     "VerifyOutcome",
-    "activation_closure",
     "assign_thresholds",
     "bound_new",
     "bound_old",

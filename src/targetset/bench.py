@@ -51,8 +51,8 @@ class BenchConfig:
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
     a sweep value that is not an int or is repeated, ``repetitions`` that is
-    not an int >= 1, an ``exact_cap`` that is not an int, and empty
-    ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
+    not an int >= 1, a ``seed`` or ``exact_cap`` that is not an int, and
+    empty ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
     byte-identical across runs; switch it on to study scaling.
     """
 
@@ -98,6 +98,7 @@ class BenchConfig:
             seen.add(value)
         _check_int("repetitions", self.repetitions, 1)
         _check_int("exact_cap", self.exact_cap)
+        _check_int("seed", self.seed)
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
@@ -175,6 +176,7 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
         raise ValueError(f"unknown verification class {klass!r}")
     _check_int("instances", instances, 1)
     _check_int("n_max", n_max, 3)
+    _check_int("seed", seed)
     mismatches: list[str] = []
     for i in range(instances):
         iseed = derive_seed(seed, klass, i)

@@ -40,8 +40,10 @@ def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
     return s
 
 
-def run_activation(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> ActivationTrace:
-    """Run the synchronous activation process to its fixpoint.
+def _spread(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Run the synchronous activation process to its fixpoint; return the
+    active vertices in activation order and each vertex's round (-1 if it
+    never activates).
 
     One FIFO worklist over remaining-need counters, O(n + m).  Seeds get
     round 0, unseeded threshold-0 vertices round 1; a vertex whose need a
@@ -65,36 +67,21 @@ def run_activation(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> Activati
                 if need[u] == 0:
                     round_of[u] = r
                     queue.append(u)
+    return queue, round_of
+
+
+def run_activation(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> ActivationTrace:
+    """Run the synchronous activation process to its fixpoint, round by round."""
+    queue, round_of = _spread(g, t, seeds)
     rounds: list[set[int]] = [set() for _ in range(round_of[queue[-1]] + 1 if queue else 1)]
     for v in queue:
         rounds[round_of[v]].add(v)
     return ActivationTrace(rounds=rounds, active=set(queue), converged_round=len(rounds) - 1)
 
 
-def activation_closure(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> set[int]:
-    """Final active set by exhaustive re-scanning, with no round bookkeeping.
-
-    Deliberately naive (recounts active neighbors from scratch on every
-    sweep): it is the reference the efficient engine is checked against, and
-    shows that the fixpoint does not depend on processing order.
-    """
-    check_thresholds(g, t)
-    active = _seed_set(g, seeds)
-    changed = True
-    while changed:
-        changed = False
-        for u in range(g.n):
-            if u not in active:
-                hits = sum(1 for w in g.neighbors(u) if w in active)
-                if hits >= t[u]:
-                    active.add(u)
-                    changed = True
-    return active
-
-
 def is_target_set(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> bool:
     """True iff activating from ``seeds`` eventually activates every vertex."""
-    return len(run_activation(g, t, seeds).active) == g.n
+    return len(_spread(g, t, seeds)[0]) == g.n
 
 
 def format_trace(trace: ActivationTrace, g: Graph | None = None) -> str:

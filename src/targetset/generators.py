@@ -9,16 +9,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from numbers import Real
 
-from .graph import Graph, _rng, load_edge_list
-
-
-def _check_size(kind: str, n, least: int) -> None:
-    """Reject a vertex count that is not an int (a bool included) or is
-    below ``least``, with ``ValueError``."""
-    if type(n) is not int:
-        raise ValueError(f"{kind} needs an int n, got {n!r}")
-    if n < least:
-        raise ValueError(f"{kind} needs n >= {least}")
+from .graph import Graph, _check_int, _rng, load_edge_list
 
 
 def gnp(n: int, p: float, seed: int | None = None) -> Graph:
@@ -33,7 +24,7 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     order: every adjacency list comes out sorted, without repeats or
     self-loops, and goes to the graph as it is.
     """
-    _check_size("gnp", n, 1)
+    _check_int("gnp n", n, 1)
     if not isinstance(p, Real):
         raise ValueError(f"gnp needs a real p, got {p!r}")
     if not 0.0 < p < 1.0:
@@ -61,7 +52,7 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
 def random_tree(n: int, seed: int | None = None) -> Graph:
     """Uniform random labeled tree on n vertices, decoded from a random
     Prufer sequence."""
-    _check_size("tree", n, 1)
+    _check_int("tree n", n, 1)
     rng = _rng(seed)
     if n == 1:
         return Graph(1)
@@ -87,18 +78,18 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_size("cycle", n, 3)
+    _check_int("cycle n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def clique_graph(n: int) -> Graph:
-    _check_size("clique", n, 1)
+    _check_int("clique n", n, 1)
     return Graph(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices; vertex 0 is the center."""
-    _check_size("star", n, 2)
+    _check_int("star n", n, 2)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 

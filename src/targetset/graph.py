@@ -92,9 +92,6 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     @property
     def degrees(self) -> list[int]:
         return [len(lst) for lst in self._adj]

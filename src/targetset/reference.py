@@ -250,7 +250,8 @@ def clique_optimum(thresholds_sorted: Sequence[int], n: int | None = None) -> in
         _check_int("threshold", tv, 0)
     if n is None:
         n = len(ts)
-    elif n != len(ts):
+    _check_int("n", n)
+    if n != len(ts):
         raise ValueError(f"expected {n} thresholds, got {len(ts)}")
     if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("thresholds must be sorted nondecreasing")

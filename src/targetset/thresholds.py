@@ -29,9 +29,7 @@ def constant_capped(g: Graph, t: int) -> list[int]:
     Isolated vertices get 0 under this policy (min(t, 0) = 0), i.e. they
     self-activate; real social networks have none.
     """
-    _check_int("constant-capped t", t)
-    if t < 1:
-        raise ValueError("constant-capped policy needs t >= 1")
+    _check_int("constant-capped t", t, 1)
     return [min(t, len(nbrs)) for nbrs in g.adjacency]
 
 

@@ -15,6 +15,27 @@ from targetset import (
 )
 
 
+def activation_closure(g: Graph, t, seeds) -> set[int]:
+    """Final active set by exhaustive re-scanning, with no round bookkeeping.
+
+    Deliberately naive (recounts active neighbors from scratch on every
+    sweep): it is the reference the worklist engine of ``run_activation``
+    and ``is_target_set`` is checked against, and shows that the fixpoint
+    does not depend on processing order.
+    """
+    active = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(g.n):
+            if u not in active:
+                hits = sum(1 for w in g.neighbors(u) if w in active)
+                if hits >= t[u]:
+                    active.add(u)
+                    changed = True
+    return active
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 from targetset import (
-    activation_closure,
     bound_new,
     bound_old,
     check_bound_dominance,
@@ -25,7 +24,7 @@ from targetset import (
     star_graph,
     tss_solve,
 )
-from conftest import connected_gnp
+from conftest import activation_closure, connected_gnp
 
 MASTER = 20260810
 

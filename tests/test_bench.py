@@ -151,6 +151,12 @@ def test_config_validation():
             BenchConfig(sources=src, sweep=sweep)
     with pytest.raises(ValueError, match="repeated sweep value 2"):
         BenchConfig(sources=src, sweep=(2, 3, 2))
+    # derive_seed stringifies the seed: True would give another graph than 1
+    for seed in (True, 1.5, "x", None):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            BenchConfig(sources=src, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an int"):
+            run_verify("tree", n_max=5, instances=2, seed=seed)
     with pytest.raises(ValueError, match="instances must be >= 1"):
         run_verify("tree", n_max=5, instances=0)
     for n_max in (2, -5):

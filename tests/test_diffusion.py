@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from targetset import (
     Graph,
-    activation_closure,
     clique_graph,
     cycle_graph,
     format_trace,
     is_target_set,
     run_activation,
 )
-from conftest import path_graph, random_instance
+from conftest import activation_closure, path_graph, random_instance
 
 
 def test_path_middle_vertex_needs_both_neighbors():
@@ -52,7 +51,7 @@ def test_zero_threshold_nonseeds_join_at_round_one():
 
 
 def test_seed_out_of_range_rejected():
-    for fn in (run_activation, activation_closure, is_target_set):
+    for fn in (run_activation, is_target_set):
         for seed in (7, -1, 0.5, True):
             with pytest.raises(ValueError, match="seed vertex"):
                 fn(path_graph(3), [1, 1, 1], [seed])

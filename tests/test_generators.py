@@ -24,8 +24,8 @@ def test_clique_edge_count():
 
 def test_star_degrees():
     g = star_graph(5)
-    assert g.degree(0) == 4
-    assert all(g.degree(v) == 1 for v in range(1, 5))
+    assert g.degrees[0] == 4
+    assert all(g.degrees[v] == 1 for v in range(1, 5))
 
 
 def test_cycle_all_degree_two():
@@ -131,17 +131,22 @@ def test_graph_source_parse_and_build():
     assert (src.kind, src.n, src.p) == ("gnp", 30, 0.5)
     g = src.with_seed(11).build()
     assert g.n == 30
-    assert GraphSource.parse("star:9").build().degree(0) == 8
+    assert GraphSource.parse("star:9").build().degrees[0] == 8
     assert GraphSource.parse("clique:4").build().m == 6
     assert GraphSource.parse("cycle:5").name == "cycle:5"
 
 
 def test_graph_source_rejects_bad_specs():
     # parse rejects a malformed spec, build an out-of-range value
-    bad_specs = ("gnp:30", "gnp:30:1.5", "cycle:2", "star:1", "nope:3", "edges:",
-                 "gnp:30:0.5:7", "tree:6:4")
-    for bad in bad_specs:
-        with pytest.raises(ValueError):
+    bad_specs = {
+        "gnp:30": "bad graph spec", "gnp:30:1.5": "0 < p < 1", "nope:3": "bad graph spec",
+        "edges:": "needs a file path", "gnp:30:0.5:7": "bad graph spec",
+        "tree:6:4": "bad graph spec", "gnp:0:0.5": "^gnp n must be >= 1$",
+        "tree:0": "^tree n must be >= 1$", "cycle:2": "^cycle n must be >= 3$",
+        "clique:0": "^clique n must be >= 1$", "star:1": "^star n must be >= 2$",
+    }
+    for bad, match in bad_specs.items():
+        with pytest.raises(ValueError, match=match):
             GraphSource.parse(bad).build()
     with pytest.raises(ValueError):
         GraphSource("nope", n=3).build()

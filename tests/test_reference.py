@@ -192,6 +192,9 @@ def test_clique_closed_form_validates_input():
         clique_optimum([2, 1])
     with pytest.raises(ValueError, match="expected"):
         clique_optimum([1, 2], n=3)
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match="n must be an int"):
+            clique_optimum([1], n=n)
     with pytest.raises(ValueError, match="threshold must be an int"):
         clique_optimum([1.5, 2])
     with pytest.raises(ValueError, match="threshold must be >= 0"):

@@ -27,8 +27,11 @@ def test_constant_capped_on_path():
 
 
 def test_constant_capped_requires_positive_t():
-    for t in (0, 1.5, True):
-        with pytest.raises(ValueError):
+    for t in (0, -2):
+        with pytest.raises(ValueError, match="^constant-capped t must be >= 1$"):
+            constant_capped(path_graph(3), t)
+    for t in (1.5, True):
+        with pytest.raises(ValueError, match="^constant-capped t must be an int"):
             constant_capped(path_graph(3), t)
 
 
@@ -97,12 +100,13 @@ def test_policy_outputs_stay_within_degree_ranges():
 
     for seed in range(20):
         g, _ = random_instance(seed)
+        deg = g.degrees
         for c in (1, 3, 10):
             for v, tv in enumerate(constant_capped(g, c)):
-                assert 0 <= tv <= g.degree(v)
+                assert 0 <= tv <= deg[v]
         for v, tv in enumerate(random_in_degree(g, seed=seed)):
-            if g.degree(v) >= 1:
-                assert 1 <= tv <= g.degree(v)
+            if deg[v] >= 1:
+                assert 1 <= tv <= deg[v]
             else:
                 assert tv == 0
 
