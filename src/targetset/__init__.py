@@ -13,7 +13,6 @@ from .bench import (
     CSV_HEADER,
     BenchConfig,
     BenchRow,
-    VerifyOutcome,
     derive_seed,
     run_bench,
     run_verify,
@@ -65,7 +64,6 @@ __all__ = [
     "Graph",
     "GraphSource",
     "SolverReport",
-    "VerifyOutcome",
     "assign_thresholds",
     "bound_new",
     "bound_old",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
 from .bounds import bound_new, bound_old
@@ -51,8 +51,9 @@ class BenchConfig:
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
     a sweep value that is not an int or is repeated, ``repetitions`` that is
-    not an int >= 1, a ``seed`` or ``exact_cap`` that is not an int, and
-    empty ``sources`` or ``algorithms``.  ``timings`` off keeps the CSV
+    not an int >= 1, a ``seed`` or ``exact_cap`` that is not an int, empty
+    ``sources`` or ``algorithms``, and a repeated source (two sources with
+    one name build the same graphs).  ``timings`` off keeps the CSV
     byte-identical across runs; switch it on to study scaling.
     """
 
@@ -70,6 +71,10 @@ class BenchConfig:
             raise ValueError("bench needs at least one graph source")
         if not self.algorithms:
             raise ValueError("bench needs at least one algorithm")
+        names = [src.name for src in self.sources]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"repeated graph source {name!r}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -154,18 +159,9 @@ def write_csv(rows: Sequence[BenchRow], stream: IO) -> None:
     writer.writerows(astuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
-    instances: int
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyOutcome:
-    """Cross-check the solver against the exact oracle on a graph class.
+def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> list[str]:
+    """Cross-check the solver against the exact oracle on a graph class and
+    return one line per mismatch (empty when every instance agrees).
 
     Random instances of ``tree``, ``cycle`` or ``clique`` are drawn with the
     thresholds that exercise every elimination branch: uniform in [1, d] for
@@ -204,4 +200,4 @@ def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> VerifyO
                 mismatches.append(
                     f"clique n={n} seed={iseed}: closed form {closed} != optimum {want}"
                 )
-    return VerifyOutcome(instances=instances, mismatches=mismatches)
+    return mismatches

@@ -107,14 +107,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    outcome = run_verify(
+    mismatches = run_verify(
         args.klass, args.n_max, args.instances, args.seed if args.seed is not None else 0
     )
-    for line in outcome.mismatches:
+    for line in mismatches:
         print(f"MISMATCH {line}")
-    status = "ok" if outcome.ok else f"{len(outcome.mismatches)} mismatches"
-    print(f"{args.klass}: {outcome.instances} instances, {status}")
-    return EXIT_OK if outcome.ok else 1
+    status = f"{len(mismatches)} mismatches" if mismatches else "ok"
+    print(f"{args.klass}: {args.instances} instances, {status}")
+    return 1 if mismatches else EXIT_OK
 
 
 def _cmd_bound(args) -> int:

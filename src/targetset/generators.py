@@ -135,7 +135,7 @@ class GraphSource:
         if self.kind == "edges":
             return f"edges:{self.path}"
         if self.kind == "gnp":
-            return f"gnp:{self.n}:{self.p:g}"
+            return f"gnp:{self.n}:{self.p!r}"
         return f"{self.kind}:{self.n}"
 
     def build(self) -> Graph:

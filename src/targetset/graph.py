@@ -21,8 +21,9 @@ class Graph:
     adjacency list is sorted, and a list that then holds a repeated neighbor
     (a duplicate edge, in either orientation) is rebuilt without it.  An
     endpoint that is not an int (a bool or a float included) and a repeated
-    label raise ``ValueError``.  The adjacency lists are exposed directly for
-    speed and must not be mutated.
+    label raise ``ValueError``.  ``adjacency[v]`` is the sorted neighbor list
+    of ``v``; the lists are exposed directly for speed and must not be
+    mutated.
 
     :meth:`_from_adjacency` wraps lists that already hold this invariant
     without checking it: each list is strictly increasing, holds int ids of
@@ -31,7 +32,7 @@ class Graph:
     emits such lists.
     """
 
-    __slots__ = ("n", "m", "_adj", "labels")
+    __slots__ = ("n", "m", "adjacency", "labels")
 
     def __init__(
         self,
@@ -66,7 +67,7 @@ class Graph:
             raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})") from None
         self.n = n
         self.m = sum(map(len, adj)) // 2
-        self._adj = adj
+        self.adjacency = adj
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal the vertex count")
@@ -80,25 +81,17 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(adj)
         g.m = sum(map(len, adj)) // 2
-        g._adj = adj
+        g.adjacency = adj
         g.labels = None
         return g
 
     @property
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex sorted neighbor lists (read-only by convention)."""
-        return self._adj
-
-    def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
-
-    @property
     def degrees(self) -> list[int]:
-        return [len(lst) for lst in self._adj]
+        return [len(lst) for lst in self.adjacency]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self._adj):
+        for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
@@ -133,7 +126,7 @@ def _rng(seed: int | None) -> random.Random:
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * g.n
-    adj = g._adj
+    adj = g.adjacency
     comps: list[list[int]] = []
     for s in range(g.n):
         if seen[s]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diffusion import is_target_set
-from .graph import Graph, _check_int
+from .graph import Graph, _check_int, connected_components
 from .solver import SolverReport, _eliminate, tss_solve
 from .thresholds import check_thresholds
 
@@ -48,17 +48,10 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     return _eliminate(g, t, lambda k, d, v: d * n + v, 0, falling=True)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _reduce_instance(
-    adj_mask: list[int], tt: list[int], present: int, forced: list[int]
-) -> int:
-    """Shrink the instance without changing the optimum.
+    adj: list[list[int]], tt: list[int], present: list[bool], forced: list[int]
+) -> None:
+    """Shrink the instance in place without changing the optimum.
 
     Two moves, applied to a fixpoint: a threshold-0 vertex activates on its
     own, so it is deleted and each surviving neighbor's threshold drops by
@@ -69,36 +62,18 @@ def _reduce_instance(
     changed = True
     while changed:
         changed = False
-        for v in _iter_bits(present):
-            nbrs = adj_mask[v] & present
+        for v, nbrs in enumerate(adj):
+            if not present[v]:
+                continue
             tv = tt[v]
-            if tv == 0 or tv > nbrs.bit_count():
+            if tv == 0 or tv > sum(present[u] for u in nbrs):
                 if tv != 0:
                     forced.append(v)
-                present &= ~(1 << v)
-                for u in _iter_bits(nbrs):
-                    if tt[u] > 0:
+                present[v] = False
+                for u in nbrs:
+                    if present[u] and tt[u] > 0:
                         tt[u] -= 1
                 changed = True
-    return present
-
-
-def _mask_components(adj_mask: list[int], present: int) -> list[int]:
-    comps = []
-    rest = present
-    while rest:
-        low = rest & -rest
-        comp = low
-        frontier = low
-        while frontier:
-            grow = 0
-            for v in _iter_bits(frontier):
-                grow |= adj_mask[v] & rest
-            frontier = grow & ~comp
-            comp |= grow
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def _close_mask(
@@ -122,7 +97,7 @@ def _close_mask(
 
 
 def _min_seed_for_component(
-    comp_mask: int, adj_mask: list[int], tt: list[int]
+    members: list[int], adj: list[list[int]], tt: list[int]
 ) -> tuple[list[int], int]:
     """Smallest seed set activating one component, by increasing cardinality.
 
@@ -135,19 +110,18 @@ def _min_seed_for_component(
     always works, so the search ends at the optimum.  Size 0 only counts the
     empty set, which activates nothing once no threshold is 0.
     """
-    members = sorted(_iter_bits(comp_mask))
+    comp_mask = sum(1 << u for u in members)
+    adj_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
     examined = 0
     width = len(members)
-    suffix = [0] * (width + 1)
-    for idx in range(width - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | (1 << members[idx])
 
     def rec(lo: int, closed: int, need: int) -> list[int] | None:
         nonlocal examined
         if need == 0:
             examined += 1
             return [] if closed == comp_mask else None
-        if _close_mask(closed | suffix[lo], members, adj_mask, tt, comp_mask) != comp_mask:
+        suffix = comp_mask >> members[lo] << members[lo]  # members[lo:] as a mask
+        if _close_mask(closed | suffix, members, adj_mask, tt, comp_mask) != comp_mask:
             return None
         for idx in range(lo, width - need + 1):
             bit = 1 << members[idx]
@@ -183,22 +157,18 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")
 
-    adj_mask = [0] * n
-    for v in range(n):
-        mask = 0
-        for u in g.neighbors(v):
-            mask |= 1 << u
-        adj_mask[v] = mask
     tt = list(t)
-    forced: list[int] = []
-    present = _reduce_instance(adj_mask, tt, (1 << n) - 1 if n else 0, forced)
+    present = [True] * n
+    witness: list[int] = []  # the forced vertices, then each component's seeds
+    _reduce_instance(g.adjacency, tt, present, witness)
+    rest = Graph(n, ((u, v) for u, v in g.edges() if present[u] and present[v]))
 
-    witness = list(forced)
     examined = 0
-    for comp_mask in _mask_components(adj_mask, present):
-        chosen, seen = _min_seed_for_component(comp_mask, adj_mask, tt)
-        examined += seen
-        witness.extend(chosen)
+    for members in connected_components(rest):
+        if present[members[0]]:  # a reduced-away vertex is left isolated
+            chosen, seen = _min_seed_for_component(members, g.adjacency, tt)
+            examined += seen
+            witness.extend(chosen)
 
     result = ExactResult(
         optimum_size=len(witness),

@@ -29,7 +29,7 @@ def activation_closure(g: Graph, t, seeds) -> set[int]:
         changed = False
         for u in range(g.n):
             if u not in active:
-                hits = sum(1 for w in g.neighbors(u) if w in active)
+                hits = sum(1 for w in g.adjacency[u] if w in active)
                 if hits >= t[u]:
                     active.add(u)
                     changed = True

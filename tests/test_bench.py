@@ -136,6 +136,14 @@ def test_config_validation():
         BenchConfig(sources=src, algorithms=())
     with pytest.raises(ValueError, match="at least one graph source"):
         BenchConfig(sources=())
+    with pytest.raises(ValueError, match="repeated graph source 'star:5'"):
+        BenchConfig(sources=src * 2)
+    # sources that differ only past six significant digits keep their own
+    # names, so their graphs get their own seeds
+    specs = ("gnp:30:0.1000001", "gnp:30:0.1")
+    rows = run_bench(BenchConfig(sources=tuple(map(GraphSource.parse, specs)), sweep=(2,)))
+    assert [row.graph_name for row in rows] == list(specs)
+    assert rows[0].seed != rows[1].seed
     assert BenchConfig(sources=src).sweep == tuple(range(1, 11))
     for reps in (0, -2):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
@@ -177,8 +185,7 @@ def test_derive_seed_is_stable_and_sensitive():
 
 def test_verify_harness_clean_on_small_runs():
     for klass in ("tree", "cycle", "clique"):
-        outcome = run_verify(klass, n_max=8, instances=15, seed=5)
-        assert outcome.ok, outcome.mismatches
+        assert run_verify(klass, n_max=8, instances=15, seed=5) == []
 
 
 def test_verify_rejects_unknown_class():

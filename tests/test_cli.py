@@ -138,6 +138,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bench", "--gen", "star:5", "--policy", "random", "--sweep", "1..3"), "--sweep"),
         (("bench", "--gen", "star:5", "--alg", "tss,greedy,tss"), "repeated algorithm"),
         (("bench", "--gen", "star:5", "--sweep", "2,2"), "repeated sweep value 2"),
+        (("bench", "--gen", "star:5", "--gen", "star:5", "--sweep", "2"),
+         "repeated graph source 'star:5'"),
         (("solve", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
         (("bench", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
     ],
@@ -152,6 +154,7 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bench-nonconst-sweep",
         "bench-repeated-alg",
         "bench-repeated-sweep",
+        "bench-repeated-source",
         "solve-file-no-path",
         "bench-file-no-path",
     ],

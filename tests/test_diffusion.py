@@ -104,7 +104,7 @@ def naive_rounds(g, t, seeds):
     while True:
         new = {
             u for u in range(g.n)
-            if u not in active and sum(w in active for w in g.neighbors(u)) >= t[u]
+            if u not in active and sum(w in active for w in g.adjacency[u]) >= t[u]
         }
         if not new:
             return rounds

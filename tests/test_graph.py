@@ -11,7 +11,7 @@ def test_construction_normalizes_duplicates_and_loops():
     g = Graph(3, [(0, 1), (1, 0), (0, 0), (1, 2), (1, 2)])
     assert g.n == 3
     assert g.m == 2
-    assert g.neighbors(1) == [0, 2]
+    assert g.adjacency[1] == [0, 2]
 
 
 def test_edge_out_of_range_rejected():
@@ -51,7 +51,7 @@ def test_degree_sum_is_twice_edge_count():
 def test_load_edge_list_path_on_three_vertices():
     g = load_edge_list(io.StringIO("0 1\n1 2"))
     assert (g.n, g.m) == (3, 2)
-    assert g.neighbors(1) == [0, 2]
+    assert g.adjacency[1] == [0, 2]
 
 
 def test_load_edge_list_dedups_and_drops_self_loops():
@@ -119,10 +119,10 @@ def test_random_instances_keep_graph_invariants(seed, raw_edges):
     for g in (random_instance(seed)[0], raw):
         seen = set()
         for v in range(g.n):
-            for u in g.neighbors(v):
+            for u in g.adjacency[v]:
                 assert u != v
-                assert v in g.neighbors(u)
+                assert v in g.adjacency[u]
                 seen.add((min(u, v), max(u, v)))
-            nbrs = g.neighbors(v)
+            nbrs = g.adjacency[v]
             assert nbrs == sorted(set(nbrs))
         assert len(seen) == g.m

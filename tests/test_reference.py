@@ -113,7 +113,7 @@ def greedy_reference_order(g, t):
             v, case = max(alive, key=lambda u: (delta[u], u)), Case.SEEDED
         alive.remove(v)
         order.append((v, case))
-        for u in g.neighbors(v):
+        for u in g.adjacency[v]:
             if u in alive:
                 delta[u] -= 1
                 k[u] = max(k[u] - 1, 0)

@@ -100,7 +100,7 @@ def paper_elimination_order(g, t):
             case = Case.DISCARDED
         alive.remove(v)
         order.append((v, case))
-        for u in g.neighbors(v):
+        for u in g.adjacency[v]:
             if u in alive:
                 delta[u] -= 1
                 if case is not Case.DISCARDED:
