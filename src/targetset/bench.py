@@ -50,7 +50,8 @@ class BenchConfig:
     repetition; ``sweep=None`` means T = 1..10 and an empty sweep is an
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
-    a sweep value that is not an int or is repeated, ``repetitions`` that is
+    a sweep value that is not an int, is below 1 or is repeated (checked
+    here, before any graph is built), ``repetitions`` that is
     not an int >= 1, a ``seed`` or ``exact_cap`` that is not an int, empty
     ``sources`` or ``algorithms``, and a repeated source (two sources with
     one name build the same graphs).  ``timings`` off keeps the CSV
@@ -98,6 +99,8 @@ class BenchConfig:
         for value in self.sweep or ():
             if type(value) is not int:
                 raise ValueError(f"sweep value {value!r} is not an int")
+            if value < 1:
+                raise ValueError(f"sweep value {value} must be >= 1")
             if value in seen:
                 raise ValueError(f"repeated sweep value {value}")
             seen.add(value)

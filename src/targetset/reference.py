@@ -45,7 +45,7 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     """
     check_thresholds(g, t)
     n = g.n
-    return _eliminate(g, t, lambda k, d, v: d * n + v, 0, falling=True)
+    return _eliminate(g, t, lambda k, d, v: d * n + v, (), 0, falling=True)
 
 
 def _reduce_instance(

@@ -21,6 +21,17 @@ returned set is always a valid target set, found in O(m log n) time.
 ``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
 left, it seeds the alive vertex of largest residual degree.
 
+Heap keys are packed ints ending in ``* n + v``.  ``tss_solve`` takes the
+key of a vertex with 1 <= k <= delta <= 64 as ``rows[delta][k] + v`` from a
+constant per-degree table, built once from its key function, and calls the
+key function only for the seed tier (k > delta) and for degrees above 64.
+``rows[delta][k] + v`` is the very int ``key(k, delta, v)`` returns, so the
+heap holds the same keys and pops in the same order either way; the table
+only saves a Python call on each push and re-key.  It stops at degree 64:
+most residual degrees of a sparse graph lie below it, its 2145 entries do
+not grow with the graph or the thresholds, and a table up to the largest
+degree of a heavy-tailed graph costs about as much to build as it saves.
+
 The ranked heap is lazy.  A tss key can rise (a discard lowers a neighbor's
 degree but not its threshold), so each neighbor update pushes the new key and
 stale entries are dropped when popped.  Greedy's key only falls, so updates
@@ -38,6 +49,9 @@ from typing import Callable, Sequence
 
 from .graph import Graph
 from .thresholds import check_thresholds
+
+
+TABLE_DEGREE = 64  # largest residual degree in tss_solve's key table
 
 
 class Case(IntEnum):
@@ -66,6 +80,7 @@ def _eliminate(
     g: Graph,
     t: Sequence[int],
     key: Callable[[int, int, int], int],
+    rows: Sequence[Sequence[int]],
     seed_tier: int,
     falling: bool = False,
 ) -> SolverReport:
@@ -75,6 +90,13 @@ def _eliminate(
     Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
     when its key is ``>= seed_tier``, DISCARDED below.  Keys are packed ints
     ending in ``* n + v``, so they are distinct and name their vertex.
+
+    ``rows`` is a key table: whenever ``k <= delta < len(rows)`` the loop
+    takes ``rows[delta][k] + v`` in place of calling ``key``; outside that
+    range (the seed tier k > delta, degrees past the table) it calls
+    ``key``.  Every entry must equal ``key(k, delta, 0)``, so the heap gets
+    the same keys as from ``key`` alone.  ``tss_solve``'s table covers
+    delta <= 64; ``greedy_tss`` passes an empty one.
 
     By default every neighbor update pushes the neighbor's new key, and an
     entry whose vertex died or whose key changed is dropped at pop time.
@@ -96,9 +118,12 @@ def _eliminate(
 
     ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
     ranked: list[int] = []  # every other alive vertex: -key, largest key first
+    top = len(rows)
     for v in range(n):
-        if k[v]:
-            heappush(ranked, -key(k[v], delta[v], v))
+        kv = k[v]
+        if kv:
+            dv = delta[v]
+            heappush(ranked, -(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)))
 
     for _ in range(n):
         if ready:
@@ -112,7 +137,9 @@ def _eliminate(
                 packed = -heappop(ranked)
                 v = packed % n
                 if alive[v]:
-                    current = key(k[v], delta[v], v)
+                    kv = k[v]
+                    dv = delta[v]
+                    current = rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)
                     if current == packed:
                         break
                     if falling:
@@ -149,7 +176,7 @@ def _eliminate(
                     continue
             # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
             if not falling:
-                heappush(ranked, -key(ku, du, u))
+                heappush(ranked, -(rows[du][ku] + u if ku <= du < top else key(ku, du, u)))
 
     return SolverReport(
         target_set=tuple(sorted(target)),
@@ -183,4 +210,10 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
             return seed_tier + kv * n + v
         return (kv * scale // (dv * (dv + 1)) * kspan + kv) * n + v
 
-    return _eliminate(g, t, key, seed_tier)
+    # rows[d][k] = key(k, d, 0) for 1 <= k <= d <= 64; column 0 is never read.
+    # Tuples, since the table is constant.
+    rows = tuple(
+        (0,) + tuple(key(kv, dv, 0) for kv in range(1, dv + 1))
+        for dv in range(min(max_deg, TABLE_DEGREE) + 1)
+    )
+    return _eliminate(g, t, key, rows, seed_tier)

@@ -159,6 +159,9 @@ def test_config_validation():
             BenchConfig(sources=src, sweep=sweep)
     with pytest.raises(ValueError, match="repeated sweep value 2"):
         BenchConfig(sources=src, sweep=(2, 3, 2))
+    for sweep, bad in (((0,), 0), ((0, 1, 2), 0), ((3, -1), -1)):
+        with pytest.raises(ValueError, match=f"sweep value {bad} must be >= 1"):
+            BenchConfig(sources=src, sweep=sweep)
     # derive_seed stringifies the seed: True would give another graph than 1
     for seed in (True, 1.5, "x", None):
         with pytest.raises(ValueError, match="seed must be an int"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from targetset import (
     star_graph,
     tss_solve,
 )
+from targetset.solver import TABLE_DEGREE
 from conftest import path_graph, random_instance
 
 
@@ -113,6 +115,42 @@ def paper_elimination_order(g, t):
 def test_elimination_order_matches_paper_pseudocode(seed):
     g, t = random_instance(seed)
     assert tss_solve(g, t).elimination_order == paper_elimination_order(g, t)
+
+
+def hub_instance(seed):
+    """A G(n, p) graph of 150-250 vertices with mean degree 60-90, plus three
+    hubs of degree 65-150, and one vertex that needs 10**12.  The other
+    thresholds lie in [0, d + 2]: most in [d/3, d], so vertices are ranked out
+    while their residual degrees are still near 64, and one in twenty
+    anywhere in the range, so k = 0 and k > d occur from the start."""
+    rng = random.Random(seed)
+    n = rng.randint(150, 250)
+    p = rng.uniform(60, 90) / n
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    for hub in rng.sample(range(n), 3):
+        for u in rng.sample([u for u in range(n) if u != hub], rng.randint(65, min(150, n - 1))):
+            edges.add((min(hub, u), max(hub, u)))
+    g = Graph(n, sorted(edges))
+    t = [
+        rng.randint(0, d + 2) if rng.random() < 0.05 else rng.randint(d // 3, d)
+        for d in g.degrees
+    ]
+    huge = rng.randrange(n)
+    t[huge] = 10**12
+    return g, t, huge
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_key_table_boundary_matches_paper_pseudocode(seed):
+    # Residual degrees start on both sides of the key table's last degree and
+    # fall through it as neighbors leave, so ranked keys from the table meet
+    # keys from the key function; k > d keys (the seed tier) always come from
+    # the key function.
+    g, t, huge = hub_instance(seed)
+    assert max(g.degrees) > TABLE_DEGREE
+    report = tss_solve(g, t)
+    assert report.elimination_order == paper_elimination_order(g, t)
+    assert huge in report.target_set
 
 
 @settings(max_examples=100, deadline=None)
