@@ -9,7 +9,7 @@ from .bench import BenchConfig, run_bench, run_verify, write_csv
 from .bounds import check_bound_dominance
 from .diffusion import format_trace, run_activation
 from .generators import GraphSource
-from .graph import Graph, load_edge_list, write_edge_list
+from .graph import Graph, write_edge_list
 from .reference import ALGORITHMS, EXACT, EXACT_CAP, TSS, solve
 from .thresholds import assign_thresholds
 
@@ -41,15 +41,21 @@ def _add_threshold_args(p: argparse.ArgumentParser):
 
 
 def _build_graph(args) -> Graph:
-    if getattr(args, "edges", None):
-        return load_edge_list(args.edges)
-    return GraphSource.parse(args.gen).with_seed(args.seed).build()
+    edges = getattr(args, "edges", None)
+    spec = args.gen if edges is None else f"edges:{edges}"
+    return GraphSource.parse(spec).with_seed(args.seed).build()
 
 
 def _build_thresholds(args, g: Graph) -> list[int]:
-    if getattr(args, "thresholds", None):
-        return [int(tok) for tok in args.thresholds.split(",")]
-    return assign_thresholds(g, args.policy, args.seed)
+    if args.thresholds is None:
+        return assign_thresholds(g, args.policy, args.seed)
+    t = []
+    for tok in args.thresholds.split(","):
+        try:
+            t.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--thresholds needs comma-separated ints, got {tok!r}") from None
+    return t
 
 
 def _cmd_solve(args) -> int:

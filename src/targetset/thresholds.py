@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, Sequence
 
-from .graph import Graph, _check_int, _read_int_pairs, _rng
+from .graph import Graph, _check_int, _pair_line, _read_int_pairs, _read_lines, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
@@ -53,16 +53,23 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
         if g.labels is not None
         else {v: v for v in range(g.n)}
     )
+    lines = _read_lines(source)
+    pairs, bad_line = _read_int_pairs(lines, "'vertex_id threshold'")
     values: dict[int, int] = {}
-    for lineno, orig, tv in _read_int_pairs(source, "'vertex_id threshold'"):
-        if orig not in to_internal:
-            raise ValueError(f"line {lineno}: unknown vertex id {orig}")
-        if tv < 0:
-            raise ValueError(f"line {lineno}: negative threshold for vertex {orig}")
-        v = to_internal[orig]
-        if v in values:
-            raise ValueError(f"line {lineno}: duplicate vertex id {orig}")
-        values[v] = tv
+    for k, (orig, tv) in enumerate(zip(pairs[0::2], pairs[1::2])):
+        v = to_internal.get(orig)
+        if v is None:
+            problem = f"unknown vertex id {orig}"
+        elif tv < 0:
+            problem = f"negative threshold for vertex {orig}"
+        elif v in values:
+            problem = f"duplicate vertex id {orig}"
+        else:
+            values[v] = tv
+            continue
+        raise ValueError(f"line {_pair_line(lines, k)}: {problem}")
+    if bad_line:
+        raise bad_line
     missing = [g.original_id(v) for v in range(g.n) if v not in values]
     if missing:
         raise ValueError(f"threshold file misses vertices: {missing}")

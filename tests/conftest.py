@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from targetset import (
     Graph,
@@ -34,6 +35,69 @@ def activation_closure(g: Graph, t, seeds) -> set[int]:
                     active.add(u)
                     changed = True
     return active
+
+
+def read_int_pairs_by_line(source, expected: str):
+    """Yield ``(lineno, a, b)`` for each data line of two-integer text.
+
+    The per-line reader that ``load_edge_list`` and ``load_thresholds`` are
+    checked against: one ``int()`` per token, and the first bad line raises
+    as soon as it is reached.
+    """
+    if hasattr(source, "read"):
+        data = source.read()
+        text = data.decode() if isinstance(data, bytes) else data
+    elif isinstance(source, bytes):
+        text = source.decode()
+    else:
+        text = Path(source).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
+        try:
+            a = int(parts[0])
+            b = int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed integer token in {raw!r}") from None
+        yield lineno, a, b
+
+
+def load_edge_list_by_line(source) -> Graph:
+    """``load_edge_list`` one pair at a time, through the checked constructor."""
+    ids: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    for _, a, b in read_int_pairs_by_line(source, "two integer tokens"):
+        if a not in ids:
+            ids[a] = len(ids)
+        if b not in ids:
+            ids[b] = len(ids)
+        edges.append((ids[a], ids[b]))
+    if not ids:
+        raise ValueError("empty graph")
+    return Graph(len(ids), edges, labels=tuple(ids))
+
+
+def load_thresholds_by_line(g: Graph, source) -> list[int]:
+    """``load_thresholds`` one line at a time, each error raised where it is read."""
+    to_internal = {g.original_id(v): v for v in range(g.n)}
+    values: dict[int, int] = {}
+    for lineno, orig, tv in read_int_pairs_by_line(source, "'vertex_id threshold'"):
+        if orig not in to_internal:
+            raise ValueError(f"line {lineno}: unknown vertex id {orig}")
+        if tv < 0:
+            raise ValueError(f"line {lineno}: negative threshold for vertex {orig}")
+        v = to_internal[orig]
+        if v in values:
+            raise ValueError(f"line {lineno}: duplicate vertex id {orig}")
+        values[v] = tv
+    missing = [g.original_id(v) for v in range(g.n) if v not in values]
+    if missing:
+        raise ValueError(f"threshold file misses vertices: {missing}")
+    return [values[v] for v in range(g.n)]
 
 
 def path_graph(n: int) -> Graph:

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import targetset
 from targetset import CSV_HEADER, SolverReport
 from targetset.cli import main
 
@@ -143,6 +148,10 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
          "repeated graph source 'star:5'"),
         (("solve", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
         (("bench", "--gen", "star:5", "--policy", "file:"), "file policy needs a path"),
+        (("solve", "--edges", ""), "edges source needs a file path"),
+        (("bound", "--edges", ""), "edges source needs a file path"),
+        (("solve", "--gen", "star:5", "--thresholds", ""), "comma-separated ints, got ''"),
+        (("bound", "--gen", "star:5", "--thresholds", "1,x"), "comma-separated ints, got 'x'"),
     ],
     ids=[
         "bench-reps-0",
@@ -159,6 +168,10 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bench-repeated-source",
         "solve-file-no-path",
         "bench-file-no-path",
+        "solve-edges-empty",
+        "bound-edges-empty",
+        "solve-thresholds-empty",
+        "bound-thresholds-not-int",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
@@ -246,6 +259,30 @@ def test_file_policy_reads_thresholds_by_original_id(capsys, tmp_path):
     ]
     # bound_old = sum of t/(d+1) = 2/4 + 1/3 + 2/4 + 1/3 under the file's thresholds.
     assert {r["bound_old"] for r in rows} == {"1.66667"}
+
+
+def test_malformed_input_files_exit_one_under_python_O(tmp_path):
+    # The readers reject bad lines with raises, not asserts: under -O the CLI
+    # still exits 1 and names the line.
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n3\n")
+    thresholds = tmp_path / "t.txt"
+    thresholds.write_text("# id t\n1 1\n2 1\n1 2\n")
+    good_edges = tmp_path / "ok.txt"
+    good_edges.write_text("1 2\n2 3\n")
+    src = str(Path(targetset.__file__).resolve().parents[1])
+    for argv, message in (
+        (["--edges", str(edges)], "line 3: expected two integer tokens, got '3'"),
+        (["--edges", str(good_edges), "--policy", f"file:{thresholds}"], "line 4: duplicate vertex id 1"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "targetset.cli", "solve", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_bench_writes_csv_to_stdout_and_notes_error_rows(capsys):

@@ -1,10 +1,18 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from targetset import Graph, connected_components, is_connected, load_edge_list, write_edge_list
+from targetset import (
+    Graph,
+    connected_components,
+    is_connected,
+    load_edge_list,
+    load_thresholds,
+    write_edge_list,
+)
+from conftest import load_edge_list_by_line, load_thresholds_by_line
 
 
 def test_construction_normalizes_duplicates_and_loops():
@@ -126,3 +134,116 @@ def test_random_instances_keep_graph_invariants(seed, raw_edges):
             nbrs = g.adjacency[v]
             assert nbrs == sorted(set(nbrs))
         assert len(seen) == g.m
+
+
+# Differential tests of the bulk reader against the per-line one in conftest.
+# Tokens mix signs, leading zeros and digit underscores, so that distinct
+# tokens can name one vertex; "7" and "007" are the same id.
+TOKENS = ("0", "1", "2", "3", "5", "7", "007", "+5", "-3", "1_0", "10", "123456789012")
+BAD_TOKENS = ("x", "1.5", "#", "%", "1__0", "_1", "0x1f")
+pads = st.sampled_from(("", " ", "\t", " \t"))
+tokens = st.sampled_from(TOKENS)
+
+
+def pair_lines(first, second):
+    return st.builds("{}{}{}{}{}".format, pads, first, st.sampled_from((" ", "\t", "  ")), second, pads)
+
+
+filler_lines = st.one_of(
+    pads,  # blank and whitespace-only lines
+    st.builds("{}{}{}".format, pads, st.sampled_from("#%"), st.sampled_from(("", " note", " 1 2", "1 2 3"))),
+)
+bad_lines = st.one_of(
+    st.builds("{}{}{}".format, pads, tokens, pads),  # one token
+    st.builds("{} {} {}".format, tokens, tokens, st.sampled_from(TOKENS + ("#", "# note"))),
+    pair_lines(tokens, st.sampled_from(BAD_TOKENS)),
+    pair_lines(st.sampled_from(BAD_TOKENS), tokens),
+)
+
+
+@st.composite
+def framed(draw, lines):
+    """``lines`` in order, with blank and comment lines between them, one bad
+    line at a random position or none, and mixed line ends."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(filler_lines))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_lines))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def each_source(text, tmp_path_factory):
+    """Fresh sources holding ``text``: a str stream, bytes, a binary stream
+    and a path."""
+    path = tmp_path_factory.getbasetemp() / "reader-input.txt"
+    path.write_bytes(text.encode())
+    return (
+        lambda: io.StringIO(text),
+        lambda: text.encode(),
+        lambda: io.BytesIO(text.encode()),
+        lambda: path,
+    )
+
+
+def outcome(read, *args):
+    try:
+        result = read(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, Graph):
+        return "graph", (result.n, result.m, result.adjacency, result.labels)
+    return "list", result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_lines(tokens, tokens), max_size=30).flatmap(framed))
+@example("9 9\n1 2\n")  # vertex 9 only ever in a self-loop
+@example("1 2\n3 x\n4 5 6\n")  # a shape error after an integer error
+@example("# only\r\n%comments\r")
+def test_load_edge_list_matches_per_line_reader(tmp_path_factory, text):
+    for source in each_source(text, tmp_path_factory):
+        assert outcome(load_edge_list, source()) == outcome(load_edge_list_by_line, source())
+
+
+@st.composite
+def threshold_texts(draw):
+    """A labelled or unlabelled graph and a threshold file for it that is
+    complete and valid unless one line is dropped, repeated, made negative
+    or given an unknown id."""
+    edges = draw(st.lists(pair_lines(tokens, tokens), min_size=1, max_size=12))
+    g = load_edge_list_by_line("\n".join(edges).encode())
+    if draw(st.booleans()):
+        g = Graph(g.n, g.edges())
+    labels = draw(st.permutations([str(g.original_id(v)) for v in range(g.n)]))
+    lines = [draw(pair_lines(st.just(lab), st.sampled_from(("0", "1", "2", "+3", "1_0")))) for lab in labels]
+    at = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(("none", "drop", "repeat", "negative", "unknown")))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), f"{labels[at]} 1")
+    elif mutation == "negative":
+        lines[at] = f"{labels[at]} -3"
+    elif mutation == "unknown":
+        lines.insert(at, "99 1")
+    return g, draw(framed(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_texts())
+@example((Graph(2, [(0, 1)]), "1 1\n0 -3\n0\n"))  # a bad pair before a bad line
+def test_load_thresholds_matches_per_line_reader(tmp_path_factory, instance):
+    g, text = instance
+    for source in each_source(text, tmp_path_factory):
+        assert outcome(load_thresholds, g, source()) == outcome(load_thresholds_by_line, g, source())
+
+
+def test_first_bad_line_is_reported_past_the_first_chunk():
+    lines = [f"{i} {i + 1}" for i in range(10_000)]
+    lines[6000] = "6000 y"
+    lines[9000] = "9000"
+    with pytest.raises(ValueError, match="^line 6001: malformed integer token in '6000 y'$"):
+        load_edge_list("\n".join(lines).encode())
