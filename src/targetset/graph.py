@@ -16,7 +16,6 @@ rejects.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -29,10 +28,10 @@ class Graph:
     adjacency list is sorted, and a list that then holds a repeated neighbor
     (a duplicate edge, in either orientation) is rebuilt without it
     (``_normalise``, which :func:`load_edge_list` applies too).  An
-    endpoint that is not an int (a bool or a float included) and a repeated
-    label raise ``ValueError``.  ``adjacency[v]`` is the sorted neighbor list
-    of ``v``; the lists are exposed directly for speed and must not be
-    mutated.
+    endpoint whose type is not exactly int (a bool, a float or an
+    ``IntEnum``) and a repeated label raise ``ValueError``.  ``adjacency[v]``
+    is the sorted neighbor list of ``v``; the lists are exposed directly for
+    speed and must not be mutated.
 
     :meth:`_from_adjacency` wraps lists that already hold this invariant
     without checking it: each list is strictly increasing, holds int ids of
@@ -59,11 +58,11 @@ class Graph:
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                if not (type(u) is int and type(v) is int):
+                    raise TypeError  # a float, a bool or another int subclass
                 if u != v:
                     adj[u].append(v)
                     adj[v].append(u)
-                elif type(u) is not int or type(v) is not int:
-                    raise TypeError  # a float or bool self-loop
             _normalise(adj)
         except TypeError:
             raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})") from None
@@ -157,16 +156,11 @@ def _normalise(adj: list[list[int]]) -> None:
     """Sort every adjacency list in place, then rebuild each list that holds
     a repeated neighbor without it.
 
-    A bool neighbor raises ``TypeError``: it equals 0 or 1, so sorting moves
-    it into the run of entries <= 1 at the front of its list, where it is
-    looked for.  This is the one normalisation rule of :class:`Graph`; self-
-    loops are dropped by the callers as they fill the lists.
+    This is the one normalisation rule of :class:`Graph`; its callers drop
+    self-loops and admit only int ids as they fill the lists.
     """
     for v, lst in enumerate(adj):
         lst.sort()
-        if lst and lst[0] <= 1:
-            if any(type(x) is not int for x in lst[: bisect_right(lst, 1)]):
-                raise TypeError
         if len(set(lst)) < len(lst):
             adj[v] = sorted(set(lst))
 
@@ -285,12 +279,16 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
 
 
 def write_edge_list(g: Graph, target: str | Path | IO) -> None:
-    """Write the graph as edge-list text, one "u v" line per edge.
+    """Write the graph as edge-list text, one "u v" line per edge, then one
+    "v v" line per vertex without edges (the loader keeps such a vertex and
+    drops the self-loop).
 
     Vertices are written in the graph's reporting id space, so a loaded
     graph round-trips through its original ids.
     """
-    lines = [f"{g.original_id(u)} {g.original_id(v)}" for u, v in g.edges()]
+    name = g.original_id
+    lines = [f"{name(u)} {name(v)}" for u, v in g.edges()]
+    lines += [f"{name(v)} {name(v)}" for v, nbrs in enumerate(g.adjacency) if not nbrs]
     text = "\n".join(lines) + ("\n" if lines else "")
     if hasattr(target, "write"):
         target.write(text)

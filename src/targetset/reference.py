@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .diffusion import is_target_set
+from .diffusion import _spread, is_target_set
 from .graph import Graph, _check_int, connected_components
 from .solver import SolverReport, _eliminate, tss_solve
 from .thresholds import check_thresholds
@@ -46,34 +46,6 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     check_thresholds(g, t)
     n = g.n
     return _eliminate(g, t, lambda k, d, v: d * n + v, (), 0, falling=True)
-
-
-def _reduce_instance(
-    adj: list[list[int]], tt: list[int], present: list[bool], forced: list[int]
-) -> None:
-    """Shrink the instance in place without changing the optimum.
-
-    Two moves, applied to a fixpoint: a threshold-0 vertex activates on its
-    own, so it is deleted and each surviving neighbor's threshold drops by
-    one (clamped); a vertex whose threshold exceeds its surviving degree can
-    never be activated, so it belongs to every target set and is deleted the
-    same way after being recorded.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for v, nbrs in enumerate(adj):
-            if not present[v]:
-                continue
-            tv = tt[v]
-            if tv == 0 or tv > sum(present[u] for u in nbrs):
-                if tv != 0:
-                    forced.append(v)
-                present[v] = False
-                for u in nbrs:
-                    if present[u] and tt[u] > 0:
-                        tt[u] -= 1
-                changed = True
 
 
 def _close_mask(
@@ -144,8 +116,11 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
 
     Seed sets are tried in increasing cardinality (lexicographic within a
     size); supersets of target sets are target sets, so the first hit proves
-    the optimum.  Optimum-preserving reductions and per-component search keep
-    the enumeration small; bitmasks keep each activation check cheap.
+    the optimum.  First a closure reduction shrinks the instance without
+    changing the optimum: the vertices with t(v) > d(v) are seeded and their
+    activation closure is removed.  A removal keeps each survivor's t - d
+    unchanged, so no vertex becomes forced later.  Per-component search
+    keeps the enumeration small; bitmasks keep each activation check cheap.
 
     Raises:
         ValueError: when n exceeds ``max_vertices`` ("instance too large for
@@ -157,16 +132,24 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")
 
-    tt = list(t)
-    present = [True] * n
-    witness: list[int] = []  # the forced vertices, then each component's seeds
-    _reduce_instance(g.adjacency, tt, present, witness)
+    # Two moves keep the optimum: a vertex whose residual threshold exceeds
+    # its surviving degree is in every target set, so it is seeded and
+    # removed, and one whose residual threshold is 0 activates unseeded, so
+    # it is removed.  Each removal lowers a surviving neighbour's residual
+    # threshold and surviving degree by one each, so t - d never changes for
+    # a survivor: a vertex is forced exactly when t(v) > d(v) at the start,
+    # and the fixpoint of the two moves is the activation closure of those
+    # seeds.  A survivor keeps t minus its removed neighbours.
+    adj = g.adjacency
+    witness = [v for v in range(n) if t[v] > len(adj[v])]  # then each component's seeds
+    present = [r < 0 for r in _spread(g, t, witness)[1]]
+    tt = [tv - sum(not present[u] for u in nbrs) for tv, nbrs in zip(t, adj)]
     rest = Graph(n, ((u, v) for u, v in g.edges() if present[u] and present[v]))
 
     examined = 0
     for members in connected_components(rest):
         if present[members[0]]:  # a reduced-away vertex is left isolated
-            chosen, seen = _min_seed_for_component(members, g.adjacency, tt)
+            chosen, seen = _min_seed_for_component(members, adj, tt)
             examined += seen
             witness.extend(chosen)
 
@@ -206,7 +189,7 @@ def solve(
     return result, solution, seconds
 
 
-def clique_optimum(thresholds_sorted: Sequence[int], n: int | None = None) -> int:
+def clique_optimum(thresholds_sorted: Sequence[int]) -> int:
     """Optimal target set size for a clique, from its sorted threshold list.
 
     With thresholds t(u_1) <= ... <= t(u_n) and m the number of vertices
@@ -218,12 +201,8 @@ def clique_optimum(thresholds_sorted: Sequence[int], n: int | None = None) -> in
     ts = list(thresholds_sorted)
     for tv in ts:
         _check_int("threshold", tv, 0)
-    if n is None:
-        n = len(ts)
-    _check_int("n", n)
-    if n != len(ts):
-        raise ValueError(f"expected {n} thresholds, got {len(ts)}")
-    if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
+    n = len(ts)
+    if any(ts[i] > ts[i + 1] for i in range(n - 1)):
         raise ValueError("thresholds must be sorted nondecreasing")
     m = sum(1 for tv in ts if tv >= n)
     best = 0

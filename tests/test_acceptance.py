@@ -123,7 +123,7 @@ def test_criterion_04_clique_optimality_and_closed_form():
         g = clique_graph(n)
         t = sorted(rng.randint(1, n + 2) for _ in range(n))
         got = tss_solve(g, t).size
-        closed = clique_optimum(t, n)
+        closed = clique_optimum(t)
         want = exact_solve(g, t).optimum_size
         if not (got == closed == want):
             mismatches.append((seed, t, got, closed, want))

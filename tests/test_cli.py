@@ -74,6 +74,12 @@ def test_gen_then_solve_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--edges", str(out_path), "--policy", "const:2")
     assert code == 0
     assert "size " in out
+    # gnp(100, 0.01) leaves 34 vertices without edges; they survive the file
+    code, out, _ = run(capsys, "--seed", "1", "gen", "--gen", "gnp:100:0.01", "--out", str(out_path))
+    assert code == 0 and out.startswith("wrote 100 vertices, 52 edges ")
+    code, out, _ = run(capsys, "solve", "--edges", str(out_path), "--policy", "const:1")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["n 100", "m 52"]
 
 
 def test_bound_verb_star(capsys):

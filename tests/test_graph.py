@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from targetset import (
+    Case,
     Graph,
     connected_components,
     is_connected,
@@ -25,7 +26,10 @@ def test_construction_normalizes_duplicates_and_loops():
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
-    for n, edges in ((3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(1.0, 2)]), (2.5, []), ("3", [])):
+    for n, edges in (
+        (3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(1.0, 2)]), (2.5, []), ("3", []),
+        (3, [(Case.SEEDED, 0)]), (3, [(Case.ACTIVATED, 2)]),  # int subclasses, any value
+    ):
         with pytest.raises(ValueError, match="must be ints"):
             Graph(n, edges)
     # Bools compare equal to 0 and 1 and float self-loops are dropped as
@@ -103,6 +107,13 @@ def test_write_edge_list_roundtrip(tmp_path):
     g2 = load_edge_list(path)
     assert g2.labels == g.labels
     assert sorted(g2.edges()) == sorted(g.edges())
+    # a vertex without edges is written as a self-loop, which the loader keeps
+    g = Graph(4, [(0, 1), (1, 2)], labels=[10, 20, 30, 40])
+    write_edge_list(g, path)
+    g2 = load_edge_list(path)
+    assert (g2.n, g2.m, set(g2.labels)) == (4, 2, {10, 20, 30, 40})
+    original_edges = [{frozenset(h.original_ids(e)) for e in h.edges()} for h in (g, g2)]
+    assert original_edges[0] == original_edges[1] == {frozenset((10, 20)), frozenset((20, 30))}
 
 
 def test_connected_components_and_connectivity():
