@@ -13,7 +13,7 @@ from .bounds import bound_new, bound_old
 from .generators import GraphSource, clique_graph, cycle_graph, random_tree
 from .graph import _check_int
 from .reference import ALGORITHMS, EXACT_CAP, TSS, clique_optimum, exact_solve, solve
-from .thresholds import assign_thresholds, constant_capped, random_in_degree
+from .thresholds import _parse_policy, assign_thresholds, constant_capped, random_in_degree
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -51,11 +51,13 @@ class BenchConfig:
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
     a sweep value that is not an int, is below 1 or is repeated (checked
-    here, before any graph is built), ``repetitions`` that is
-    not an int >= 1, a ``seed`` or ``exact_cap`` that is not an int, empty
-    ``sources`` or ``algorithms``, and a repeated source (two sources with
-    one name build the same graphs).  ``timings`` off keeps the CSV
-    byte-identical across runs; switch it on to study scaling.
+    here, before any graph is built), ``repetitions`` that is not an int
+    >= 1, a ``seed`` or ``exact_cap`` that is not an int, empty ``sources``
+    or ``algorithms``, a source that is not a ``GraphSource``, a repeated
+    source (two sources with one name build the same graphs), and a policy
+    that ``assign_thresholds`` would reject (``file:`` without a path, say).
+    ``timings`` off keeps the CSV byte-identical across runs; switch it on
+    to study scaling.
     """
 
     sources: tuple[GraphSource, ...]
@@ -72,18 +74,19 @@ class BenchConfig:
             raise ValueError("bench needs at least one graph source")
         if not self.algorithms:
             raise ValueError("bench needs at least one algorithm")
-        names = [src.name for src in self.sources]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"repeated graph source {name!r}")
+        names: set[str] = set()
+        for src in self.sources:
+            if not isinstance(src, GraphSource):
+                raise ValueError(f"graph source {src!r} is not a GraphSource")
+            if src.name in names:
+                raise ValueError(f"repeated graph source {src.name!r}")
+            names.add(src.name)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"repeated algorithm in {','.join(self.algorithms)!r}")
-        kind = self.policy.partition(":")[0]
-        if kind not in ("const", "random", "degree", "file"):
-            raise ValueError(f"unknown threshold policy {self.policy!r}")
+        kind = "const" if self.policy == "const" else _parse_policy(self.policy)[0]
         if kind != "const":
             if self.sweep is not None:
                 raise ValueError(f"--sweep needs the const policy; {self.policy!r} ignores it")

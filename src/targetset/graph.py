@@ -5,18 +5,18 @@ graph whose vertices are exactly ``0 .. n-1``, stored as sorted adjacency
 lists.  Graphs loaded from edge-list files keep the original external ids in
 ``labels`` so results can be reported in the caller's id space.
 
-Edge-list and threshold files share one reader, ``_read_int_pairs``.  It
-checks the shape of each line and converts the tokens with ``map(int, ...)``
-a chunk of lines at a time: one conversion of a whole file would keep every
-token string alive next to its int and raise the peak memory of a load.  It
-rescans the lines one by one only to name the first bad line of an input it
-rejects.
+Edge-list and threshold files share one format, defined by the per-line
+reader ``_int_pairs``, which raises at the first bad line.  Threshold files
+are read through it, edge lists through the bulk ``_read_int_pairs``: that
+converts the tokens with ``map(int, ...)`` a chunk of lines at a time (one
+conversion of a whole file would keep every token string alive next to its
+int and raise the peak memory of a load) and runs ``_int_pairs`` only to
+name a bad line.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -183,62 +183,47 @@ def _read_lines(source: str | Path | bytes | IO) -> list[str]:
 _CHUNK_LINES = 4096
 
 
-def _read_int_pairs(lines: list[str], expected: str) -> tuple[list[int], ValueError | None]:
-    """The integer tokens of two-integer text, flat: ``a0, b0, a1, b1, ...``,
-    and the error for the first bad line, or ``None``.
+def _int_pairs(lines: list[str], expected: str) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(lineno, a, b)`` for each line of two-integer text that is
+    neither blank nor a comment (``#`` or ``%`` first).  The first line that
+    does not hold exactly two integer tokens raises ``ValueError`` naming it,
+    with ``expected`` describing the wanted shape, after the pairs before it."""
+    for lineno, raw in enumerate(lines, start=1):
+        # A blank line leaves "" after lstrip, and "" is in "#%" too.
+        if raw.lstrip()[:1] in "#%":
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
+        try:
+            a, b = map(int, parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed integer token in {raw!r}") from None
+        yield lineno, a, b
 
-    Blank lines and lines starting with ``#`` or ``%`` are skipped.  Any other
-    line must hold exactly two integer tokens; otherwise the error names the
-    first line that does not, with ``expected`` describing the wanted shape,
-    and the tokens are those of the lines before it.  ``load_thresholds``
-    checks those pairs before it raises the error, so that the first problem
-    in line order is the one reported.
+
+def _read_int_pairs(lines: list[str], expected: str) -> list[int]:
+    """The tokens of ``_int_pairs``' format, flat: ``a0, b0, a1, b1, ...``.
 
     A chunk of lines is read in C-level passes: drop blank and comment
     lines, check that each line left splits into two tokens, then split the
     joined chunk and convert its tokens with ``map(int, ...)``.  No pass
-    stops at a bad line, so a failure reads the lines again one by one, from
-    the first, to find it.
+    stops at a bad line, so a failure runs ``_int_pairs`` over the lines to
+    raise the error that names it.
     """
     values: list[int] = []
     try:
         for lo in range(0, len(lines), _CHUNK_LINES):
-            # A blank line leaves "" after lstrip, and "" is in "#%" too.
             data = [line for line in lines[lo : lo + _CHUNK_LINES] if line.lstrip()[:1] not in "#%"]
             if any(map((2).__ne__, map(len, map(str.split, data)))):
                 raise ValueError
             values += map(int, " ".join(data).split())
+        return values
     except ValueError:
-        return _read_to_first_bad_line(lines, expected)
-    return values, None
-
-
-def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, line)`` for each line that is neither blank nor a
-    comment: the error paths' rescan of what ``_read_int_pairs`` read."""
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.lstrip()[:1] not in "#%":
-            yield lineno, raw
-
-
-def _read_to_first_bad_line(lines: list[str], expected: str) -> tuple[list[int], ValueError]:
-    """``_read_int_pairs`` one line at a time, for input that has a bad line."""
-    values: list[int] = []
-    for lineno, raw in _data_lines(lines):
-        parts = raw.split()
-        if len(parts) != 2:
-            return values, ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
-        try:
-            pair = list(map(int, parts))
-        except ValueError:
-            return values, ValueError(f"line {lineno}: malformed integer token in {raw!r}")
-        values += pair
+        pass
+    for _ in _int_pairs(lines, expected):
+        pass
     raise AssertionError("the bulk read failed on lines that read back clean")
-
-
-def _pair_line(lines: list[str], k: int) -> int:
-    """Line number of the ``k``-th (from 0) pair ``_read_int_pairs`` read."""
-    return next(islice(_data_lines(lines), k, None))[0]
 
 
 def load_edge_list(source: str | Path | bytes | IO) -> Graph:
@@ -250,19 +235,17 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     ids are compacted to ``0..n-1`` in order of first appearance; the original
     ids are kept in ``Graph.labels``.
 
-    The tokens are read in bulk (``_read_int_pairs``).  ``dict.fromkeys``
-    then lists the distinct ids in order of first appearance, one dict
-    lookup per token maps them to vertices, and the adjacency is filled,
-    normalised by the same rule as the constructor's and handed to
-    :meth:`Graph._from_adjacency` without a second check.
+    The tokens are read in bulk (``_read_int_pairs``, in the format of
+    ``_int_pairs``).  ``dict.fromkeys`` then lists the distinct ids in order
+    of first appearance, one dict lookup per token maps them to vertices,
+    and the adjacency is filled, normalised by the same rule as the
+    constructor's and handed to :meth:`Graph._from_adjacency` unchecked.
 
     Raises:
         ValueError: on a malformed line (message carries the line number) or
             when the input contains no vertices at all.
     """
-    values, bad_line = _read_int_pairs(_read_lines(source), "two integer tokens")
-    if bad_line:
-        raise bad_line
+    values = _read_int_pairs(_read_lines(source), "two integer tokens")
     if not values:
         raise ValueError("empty graph")
     labels = tuple(dict.fromkeys(values))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, Sequence
 
-from .graph import Graph, _check_int, _pair_line, _read_int_pairs, _read_lines, _rng
+from .graph import Graph, _check_int, _int_pairs, _read_lines, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
@@ -53,45 +53,51 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
         if g.labels is not None
         else {v: v for v in range(g.n)}
     )
-    lines = _read_lines(source)
-    pairs, bad_line = _read_int_pairs(lines, "'vertex_id threshold'")
     values: dict[int, int] = {}
-    for k, (orig, tv) in enumerate(zip(pairs[0::2], pairs[1::2])):
+    for lineno, orig, tv in _int_pairs(_read_lines(source), "'vertex_id threshold'"):
         v = to_internal.get(orig)
         if v is None:
-            problem = f"unknown vertex id {orig}"
-        elif tv < 0:
-            problem = f"negative threshold for vertex {orig}"
-        elif v in values:
-            problem = f"duplicate vertex id {orig}"
-        else:
-            values[v] = tv
-            continue
-        raise ValueError(f"line {_pair_line(lines, k)}: {problem}")
-    if bad_line:
-        raise bad_line
+            raise ValueError(f"line {lineno}: unknown vertex id {orig}")
+        if tv < 0:
+            raise ValueError(f"line {lineno}: negative threshold for vertex {orig}")
+        if v in values:
+            raise ValueError(f"line {lineno}: duplicate vertex id {orig}")
+        values[v] = tv
     missing = [g.original_id(v) for v in range(g.n) if v not in values]
     if missing:
         raise ValueError(f"threshold file misses vertices: {missing}")
     return [values[v] for v in range(g.n)]
 
 
-def assign_thresholds(g: Graph, policy: str, seed: int | None = None) -> list[int]:
-    """Dispatch on a policy string: ``const:T``, ``random``, ``degree``,
-    ``file:PATH``."""
+def _parse_policy(policy: str) -> tuple[str, int | str | None]:
+    """``(kind, arg)`` of a policy string: ``("const", T)``, ``("random", None)``,
+    ``("degree", None)`` or ``("file", PATH)``.  The one reader of the policy
+    format: anything else raises ``ValueError``."""
+    if not isinstance(policy, str):
+        raise ValueError(f"threshold policy must be a string, got {policy!r}")
     kind, _, arg = policy.partition(":")
     if kind == "const":
         try:
-            t = int(arg)
+            return kind, int(arg)
         except ValueError:
             raise ValueError(f"bad constant-capped policy {policy!r}") from None
-        return constant_capped(g, t)
+    if policy in ("random", "degree"):
+        return policy, None
+    if kind == "file":
+        if not arg:
+            raise ValueError("file policy needs a path, e.g. file:thresholds.txt")
+        return kind, arg
+    raise ValueError(f"unknown threshold policy {policy!r}")
+
+
+def assign_thresholds(g: Graph, policy: str, seed: int | None = None) -> list[int]:
+    """Dispatch on a policy string: ``const:T``, ``random``, ``degree``,
+    ``file:PATH``."""
+    kind, arg = _parse_policy(policy)
+    if kind == "const":
+        return constant_capped(g, arg)
     if kind == "random":
         return random_in_degree(g, seed)
     if kind == "degree":
         return degree_thresholds(g)
-    if kind == "file":
-        if not arg:
-            raise ValueError("file policy needs a path, e.g. file:thresholds.txt")
-        return load_thresholds(g, arg)
-    raise ValueError(f"unknown threshold policy {policy!r}")
+    return load_thresholds(g, arg)

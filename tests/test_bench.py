@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import re
 
 import pytest
 
@@ -99,6 +101,11 @@ def test_oversized_exact_becomes_error_row_and_run_continues():
     assert "too large" in rows[0].error
     assert rows[0].solution_size is None
     assert not rows[1].error
+    # With timings on, a solved row carries its solve time and nothing else moves.
+    timed = run_bench(dataclasses.replace(cfg, timings=True))
+    assert [dataclasses.replace(row, elapsed_ms="") for row in timed] == rows
+    assert timed[0].elapsed_ms == ""
+    assert re.fullmatch(r"\d+\.\d{3}", timed[1].elapsed_ms)
 
 
 def test_solved_rows_carry_bounds_and_sizes():
@@ -138,6 +145,15 @@ def test_config_validation():
         BenchConfig(sources=())
     with pytest.raises(ValueError, match="repeated graph source 'star:5'"):
         BenchConfig(sources=src * 2)
+    with pytest.raises(ValueError, match="graph source 'star:5' is not a GraphSource"):
+        BenchConfig(sources=("star:5",))
+    with pytest.raises(ValueError, match="file policy needs a path"):
+        BenchConfig(sources=src, policy="file:")
+    with pytest.raises(ValueError, match="policy must be a string"):
+        BenchConfig(sources=src, policy=None)
+    for policy in ("random:7", "degree:x"):
+        with pytest.raises(ValueError, match=f"unknown threshold policy '{policy}'"):
+            BenchConfig(sources=src, policy=policy)
     # sources that differ only past six significant digits keep their own
     # names, so their graphs get their own seeds
     specs = ("gnp:30:0.1000001", "gnp:30:0.1")

@@ -158,6 +158,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bound", "--edges", ""), "edges source needs a file path"),
         (("solve", "--gen", "star:5", "--thresholds", ""), "comma-separated ints, got ''"),
         (("bound", "--gen", "star:5", "--thresholds", "1,x"), "comma-separated ints, got 'x'"),
+        (("solve", "--gen", "star:5", "--policy", "random:7"), "unknown threshold policy 'random:7'"),
+        (("bench", "--gen", "star:5", "--policy", "degree:x"), "unknown threshold policy 'degree:x'"),
     ],
     ids=[
         "bench-reps-0",
@@ -178,6 +180,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bound-edges-empty",
         "solve-thresholds-empty",
         "bound-thresholds-not-int",
+        "solve-random-with-arg",
+        "bench-degree-with-arg",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):
@@ -274,12 +278,16 @@ def test_malformed_input_files_exit_one_under_python_O(tmp_path):
     edges.write_text("1 2\n2 3\n3\n")
     thresholds = tmp_path / "t.txt"
     thresholds.write_text("# id t\n1 1\n2 1\n1 2\n")
+    bad_thresholds = tmp_path / "bad_t.txt"
+    bad_thresholds.write_text("1 1\n\n2 x\n3 1\n")
     good_edges = tmp_path / "ok.txt"
     good_edges.write_text("1 2\n2 3\n")
     src = str(Path(targetset.__file__).resolve().parents[1])
     for argv, message in (
         (["--edges", str(edges)], "line 3: expected two integer tokens, got '3'"),
         (["--edges", str(good_edges), "--policy", f"file:{thresholds}"], "line 4: duplicate vertex id 1"),
+        (["--edges", str(good_edges), "--policy", f"file:{bad_thresholds}"],
+         "line 3: malformed integer token in '2 x'"),
     ):
         result = subprocess.run(
             [sys.executable, "-O", "-m", "targetset.cli", "solve", *argv],

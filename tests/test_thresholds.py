@@ -89,6 +89,12 @@ def test_assign_thresholds_dispatch():
         assign_thresholds(g, "mystery")
     with pytest.raises(ValueError):
         assign_thresholds(g, "const:x")
+    for policy in ("random:7", "degree:x"):
+        with pytest.raises(ValueError, match=f"unknown threshold policy '{policy}'"):
+            assign_thresholds(g, policy)
+    for policy in (None, 7):
+        with pytest.raises(ValueError, match="policy must be a string"):
+            assign_thresholds(g, policy)
     for seed in (True, 1.5, [1]):
         with pytest.raises(ValueError, match="seed must be an int"):
             assign_thresholds(g, "random", seed)
