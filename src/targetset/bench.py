@@ -52,10 +52,11 @@ class BenchConfig:
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
     a sweep value that is not an int, is below 1 or is repeated (checked
     here, before any graph is built), ``repetitions`` that is not an int
-    >= 1, a ``seed`` or ``exact_cap`` that is not an int, empty ``sources``
-    or ``algorithms``, a source that is not a ``GraphSource``, a repeated
-    source (two sources with one name build the same graphs), and a policy
-    that ``assign_thresholds`` would reject (``file:`` without a path, say).
+    >= 1, a ``seed`` that is not an int, an ``exact_cap`` that is not an
+    int >= 0, empty ``sources`` or ``algorithms``, a source that is not a
+    ``GraphSource``, a repeated source (two sources with one name build the
+    same graphs), and a policy that ``assign_thresholds`` would reject
+    (``file:`` without a path, say).
     ``timings`` off keeps the CSV byte-identical across runs; switch it on
     to study scaling.
     """
@@ -108,7 +109,7 @@ class BenchConfig:
                 raise ValueError(f"repeated sweep value {value}")
             seen.add(value)
         _check_int("repetitions", self.repetitions, 1)
-        _check_int("exact_cap", self.exact_cap)
+        _check_int("exact_cap", self.exact_cap, 0)
         _check_int("seed", self.seed)
 
 

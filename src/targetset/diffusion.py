@@ -31,13 +31,20 @@ class ActivationTrace:
 
 
 def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
-    s = set(seeds)
-    for v in s:
+    """The seeds as a set, checked in input order, so the first bad seed is
+    the one named whatever the set order; anything but an iterable of int
+    vertex ids raises ``ValueError``."""
+    try:
+        ordered = iter(seeds)
+    except TypeError:
+        raise ValueError(f"seeds must be an iterable of vertex ids, got {seeds!r}") from None
+    seeds = list(ordered)
+    for v in seeds:
         if type(v) is not int:
             raise ValueError(f"seed vertex is not an int: {v!r}")
         if not (0 <= v < g.n):
             raise ValueError(f"seed vertex {v} out of range for n={g.n}")
-    return s
+    return set(seeds)
 
 
 def _spread(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -38,7 +38,9 @@ class Graph:
     other vertices only, and ``u`` is in ``adj[v]`` exactly when ``v`` is in
     ``adj[u]``.  Its callers are ``generators.gnp``, whose skip sampler
     emits such lists, and :func:`load_edge_list`, which normalises the lists
-    it fills.
+    it fills.  Both bulk builders fill the lists with one shared int object
+    per vertex id (``gnp`` from a list of ids, the loader from its id map),
+    so an id costs one object however many lists name it.
     """
 
     __slots__ = ("n", "m", "adjacency", "labels")

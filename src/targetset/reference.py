@@ -124,10 +124,10 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
 
     Raises:
         ValueError: when n exceeds ``max_vertices`` ("instance too large for
-            exact solver").
+            exact solver"), and when ``max_vertices`` is not an int >= 0.
     """
     check_thresholds(g, t)
-    _check_int("max_vertices", max_vertices)
+    _check_int("max_vertices", max_vertices, 0)
     n = g.n
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")

@@ -14,8 +14,13 @@ from .graph import Graph, _check_int, _int_pairs, _read_lines, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
-    if len(t) != g.n:
-        raise ValueError(f"expected {g.n} thresholds, got {len(t)}")
+    """Raise ``ValueError`` unless ``t`` is a sequence of ``g.n`` ints >= 0."""
+    try:
+        count = len(t)
+    except TypeError:
+        raise ValueError(f"thresholds must be a sequence of ints, got {t!r}") from None
+    if count != g.n:
+        raise ValueError(f"expected {g.n} thresholds, got {count}")
     for v, tv in enumerate(t):
         if type(tv) is not int:
             raise ValueError(f"threshold of vertex {v} is not an int: {tv!r}")

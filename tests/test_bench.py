@@ -170,6 +170,9 @@ def test_config_validation():
     for cap in ("x", 24.0, True):
         with pytest.raises(ValueError, match="exact_cap must be an int"):
             BenchConfig(sources=src, exact_cap=cap)
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match="exact_cap must be >= 0"):
+            BenchConfig(sources=src, exact_cap=cap)
     for sweep in ((1.5,), ("2",), (1, True)):
         with pytest.raises(ValueError, match="is not an int"):
             BenchConfig(sources=src, sweep=sweep)

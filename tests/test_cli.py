@@ -160,6 +160,10 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         (("bound", "--gen", "star:5", "--thresholds", "1,x"), "comma-separated ints, got 'x'"),
         (("solve", "--gen", "star:5", "--policy", "random:7"), "unknown threshold policy 'random:7'"),
         (("bench", "--gen", "star:5", "--policy", "degree:x"), "unknown threshold policy 'degree:x'"),
+        (("bench", "--gen", "star:5", "--alg", "exact", "--sweep", "1", "--exact-cap", "-3"),
+         "exact_cap must be >= 0"),
+        (("solve", "--gen", "star:5", "--alg", "exact", "--exact-cap", "-1"),
+         "exact_cap must be >= 0"),
     ],
     ids=[
         "bench-reps-0",
@@ -182,6 +186,8 @@ def test_bench_empty_sweep_exits_nonzero(capsys):
         "bound-thresholds-not-int",
         "solve-random-with-arg",
         "bench-degree-with-arg",
+        "bench-exact-cap-negative",
+        "solve-exact-cap-negative",
     ],
 )
 def test_empty_or_ignored_run_parameters_exit_one(capsys, argv, message):

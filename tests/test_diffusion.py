@@ -52,9 +52,16 @@ def test_zero_threshold_nonseeds_join_at_round_one():
 
 def test_seed_out_of_range_rejected():
     for fn in (run_activation, is_target_set):
-        for seed in (7, -1, 0.5, True):
+        for seed in (7, -1, 0.5, True, [0]):
             with pytest.raises(ValueError, match="seed vertex"):
                 fn(path_graph(3), [1, 1, 1], [seed])
+        for seeds in (None, 5):
+            with pytest.raises(ValueError, match="seeds must be an iterable"):
+                fn(path_graph(3), [1, 1, 1], seeds)
+        # the first bad seed in input order is named, whatever the set order
+        for seeds, bad in ((["a", "b", "c"], "'a'"), ([0, "c", "b", "a"], "'c'"), ([1, 9, "x"], "9")):
+            with pytest.raises(ValueError, match=f"seed vertex (is not an int: )?{bad}"):
+                fn(path_graph(3), [1, 1, 1], seeds)
 
 
 def test_is_target_set_examples():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from targetset import (
@@ -103,11 +103,14 @@ def gnp_via_edge_list(n, p, seed):
     st.floats(0.001, 0.999) | st.sampled_from([1e-9, 0.5, 1 - 1e-9]),
     st.integers(0, 2**64),
 )
+@example(300, 0.5, 1)  # ids above 256, which CPython does not cache
 def test_gnp_matches_edge_list_construction(n, p, seed):
     g = gnp(n, p, seed=seed)
     expected = gnp_via_edge_list(n, p, seed)
     assert (g.n, g.m, g.labels) == (expected.n, expected.m, None)
     assert g.adjacency == expected.adjacency
+    # one int object per vertex id, shared by every list that names it
+    assert len({id(u) for lst in g.adjacency for u in lst}) <= n
     rebuilt = Graph(g.n, g.edges())
     assert (rebuilt.m, rebuilt.adjacency) == (g.m, g.adjacency)
 

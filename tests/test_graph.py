@@ -71,6 +71,16 @@ def test_load_edge_list_dedups_and_drops_self_loops():
     assert (g.n, g.m) == (2, 1)
 
 
+def test_load_edge_list_shares_one_int_per_vertex_id():
+    # ids above 256, which CPython does not cache; repeats in both
+    # orientations make the loader rebuild lists without them
+    lines = [f"{1000 + v} {1000 + (v * 7 + 3) % 600}" for v in range(600)]
+    lines += [f"{1000 + (v * 7 + 3) % 600} {1000 + v}" for v in range(0, 600, 5)]
+    g = load_edge_list(io.StringIO("\n".join(lines)))
+    assert g.n == 600
+    assert len({id(u) for lst in g.adjacency for u in lst}) <= g.n
+
+
 def test_load_edge_list_compacts_ids_by_first_appearance():
     g = load_edge_list(io.StringIO("# c\n5 9\n9 7"))
     assert (g.n, g.m) == (3, 2)

@@ -54,6 +54,9 @@ def test_exact_respects_vertex_cap():
     for cap in (30.5, True):
         with pytest.raises(ValueError, match="max_vertices must be an int"):
             exact_solve(g, [1] * 30, max_vertices=cap)
+    for cap in (-1, -30):
+        with pytest.raises(ValueError, match="max_vertices must be >= 0"):
+            exact_solve(g, [1] * 30, max_vertices=cap)
 
 
 def test_exact_budget_equal_to_n_always_succeeds():

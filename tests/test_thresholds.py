@@ -117,18 +117,28 @@ def test_policy_outputs_stay_within_degree_ranges():
                 assert tv == 0
 
 
+# every public function that takes thresholds checks them at its boundary
+THRESHOLD_ENTRY_POINTS = (
+    tss_solve,
+    greedy_tss,
+    lambda g, t: is_target_set(g, t, [0]),
+    bound_new,
+    bound_old,
+    exact_solve,
+)
+
+
 @pytest.mark.parametrize("bad", [1.5, True])
 def test_non_int_thresholds_are_rejected_at_every_entry_point(bad):
     g = path_graph(3)
     t = [1, bad, 1]
-    entry_points = (
-        tss_solve,
-        greedy_tss,
-        lambda g, t: is_target_set(g, t, [0]),
-        bound_new,
-        bound_old,
-        exact_solve,
-    )
-    for entry in entry_points:
+    for entry in THRESHOLD_ENTRY_POINTS:
         with pytest.raises(ValueError, match="threshold of vertex 1 is not an int"):
             entry(g, t)
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+def test_thresholds_without_len_are_rejected_at_every_entry_point(bad):
+    for entry in THRESHOLD_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="thresholds must be a sequence of ints"):
+            entry(path_graph(3), bad)
