@@ -40,8 +40,8 @@ from .graph import (
     load_edge_list,
     write_edge_list,
 )
-from .reference import ExactResult, clique_optimum, exact_solve, greedy_tss
-from .solver import Case, SolverReport, tss_solve
+from .reference import ExactResult, clique_optimum, exact_solve
+from .solver import Case, SolverReport, greedy_tss, tss_solve
 from .thresholds import (
     assign_thresholds,
     check_thresholds,

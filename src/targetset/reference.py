@@ -1,5 +1,5 @@
-"""Baselines and oracles: a greedy heuristic, an exhaustive exact solver for
-small instances, and the closed-form optimum for cliques."""
+"""Oracles and the ``solve`` runner: an exhaustive exact solver for small
+instances, the closed-form optimum for cliques, and ``solve`` itself."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .diffusion import _spread, is_target_set
 from .graph import Graph, _check_int, connected_components
-from .solver import SolverReport, _eliminate, tss_solve
+from .solver import SolverReport, greedy_tss, tss_solve
 from .thresholds import check_thresholds
 
 EXACT_CAP = 24  # default vertex cap of exact_solve, the CLI and the bench harness
@@ -30,22 +30,6 @@ class ExactResult:
     optimum_size: int
     witness: tuple[int, ...]
     subsets_examined: int
-
-
-def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
-    """Degree-greedy baseline.
-
-    Repeatedly pick the alive vertex of minimum residual threshold (smallest
-    id on ties).  If its threshold is still positive, instead insert the
-    alive vertex of maximum residual degree (largest id on ties) into the
-    target set.  Either way the chosen vertex is removed and every alive
-    neighbor loses one degree and one threshold unit (clamped at zero).
-    The degree key never rises, so the loop re-keys a vertex only when its
-    stale entry reaches the top of the heap.
-    """
-    check_thresholds(g, t)
-    n = g.n
-    return _eliminate(g, t, lambda k, d, v: d * n + v, (), 0, falling=True)
 
 
 def _close_mask(

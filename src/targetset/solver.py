@@ -32,12 +32,7 @@ most residual degrees of a sparse graph lie below it, its 2145 entries do
 not grow with the graph or the thresholds, and a table up to the largest
 degree of a heavy-tailed graph costs about as much to build as it saves.
 
-The ranked heap is lazy.  A tss key can rise (a discard lowers a neighbor's
-degree but not its threshold), so each neighbor update pushes the new key and
-stale entries are dropped when popped.  Greedy's key only falls, so updates
-push nothing and a popped alive vertex whose key fell is pushed back with its
-current key: each alive vertex keeps one entry, never below its key, and the
-first entry that matches its vertex's key is still the maximum.
+The ranked heap is lazy; ``_eliminate`` documents its entries and re-keys.
 """
 
 from __future__ import annotations
@@ -98,9 +93,11 @@ def _eliminate(
     the same keys as from ``key`` alone.  ``tss_solve``'s table covers
     delta <= 64; ``greedy_tss`` passes an empty one.
 
-    By default every neighbor update pushes the neighbor's new key, and an
-    entry whose vertex died or whose key changed is dropped at pop time.
-    ``falling=True`` is for a key that can never rise: updates push nothing,
+    The ranked heap is lazy.  A tss key can rise (a discard lowers a
+    neighbor's degree but not its threshold), so by default every neighbor
+    update pushes the new key, and an entry whose vertex died (k = -1) or
+    whose key changed is dropped at pop time.  ``falling=True`` is for a key
+    that can never rise, such as greedy's degree key: updates push nothing,
     and a popped alive vertex whose key fell gets its current key pushed
     back.  Every alive ranked vertex then holds exactly one entry, at least
     its current key, so the first popped entry that equals its vertex's
@@ -115,7 +112,6 @@ def _eliminate(
     """
     n = g.n
     adj = g.adjacency
-    alive = [True] * n
     delta = g.degrees
     k = list(t)
     target: list[int] = []
@@ -139,13 +135,13 @@ def _eliminate(
             activated += 1
         else:
             # The ready queue is empty, so every alive vertex has k >= 1 and
-            # an entry in ranked; an entry is stale once its vertex died or
-            # its key changed.
+            # an entry in ranked; an entry is stale once its vertex died
+            # (k = -1) or its key changed.
             while True:
                 packed = -heappop(ranked)
                 v = packed % n
-                if alive[v]:
-                    kv = k[v]
+                kv = k[v]
+                if kv > 0:
                     dv = delta[v]
                     current = rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)
                     if current == packed:
@@ -158,17 +154,17 @@ def _eliminate(
             else:
                 case = DISCARDED
 
-        alive[v] = False
+        k[v] = -1  # removed; alive vertices have k >= 0
         order.append((v, case))
         # ACTIVATED and SEEDED drop each alive neighbor's k by one; DISCARDED
         # leaves thresholds untouched.  Every alive neighbor loses a degree.
         drops = case is not DISCARDED
         for u in adj[v]:
-            if not alive[u]:
+            ku = k[u]
+            if ku < 0:
                 continue
             du = delta[u] - 1
             delta[u] = du
-            ku = k[u]
             if drops:
                 if ku == 0:
                     # A k = 0 vertex wins case 1 before any SEEDED removal, so
@@ -225,3 +221,19 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
         for dv in range(min(max_deg, TABLE_DEGREE) + 1)
     )
     return _eliminate(g, t, key, rows, seed_tier)
+
+
+def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
+    """Degree-greedy baseline.
+
+    Repeatedly pick the alive vertex of minimum residual threshold (smallest
+    id on ties).  If its threshold is still positive, instead insert the
+    alive vertex of maximum residual degree (largest id on ties) into the
+    target set.  Either way the chosen vertex is removed and every alive
+    neighbor loses one degree and one threshold unit (clamped at zero).
+    Every ranked pop seeds (seed tier 0), and the degree key never rises, so
+    the loop runs with ``falling=True`` (see ``_eliminate``).
+    """
+    check_thresholds(g, t)
+    n = g.n
+    return _eliminate(g, t, lambda k, d, v: d * n + v, (), 0, falling=True)

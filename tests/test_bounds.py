@@ -115,10 +115,10 @@ def test_two_vertex_component_marks_inapplicable():
 
 
 def test_contract_checks_survive_python_O():
-    # Forced failures of the dominance check, of solve's re-check and of the
-    # exact solver's witness re-check must still raise when asserts are
-    # stripped.  is_target_set is broken only after the dominance check, which
-    # re-checks its tss set through solve first.
+    # Forced failures of both dominance relations, of solve's re-check and of
+    # the exact solver's witness re-check must still raise when asserts are
+    # stripped.  is_target_set is broken only after the dominance checks,
+    # which re-check their tss set through solve first.
     script = """
 import sys
 from fractions import Fraction
@@ -128,14 +128,19 @@ from targetset import star_graph
 
 assert sys.flags.optimize
 g, t = star_graph(9), [5] + [1] * 8
+real_bound_old = bounds.bound_old
 bounds.bound_old = lambda g, t: Fraction(0)
 checks = (
+    bounds.check_bound_dominance,
     bounds.check_bound_dominance,
     lambda g, t: reference.solve(g, t, "tss"),
     reference.exact_solve,
 )
 for i, check in enumerate(checks):
     if i == 1:
+        bounds.bound_old = real_bound_old
+        bounds.bound_new = lambda g, t: Fraction(0)
+    if i == 2:
         reference.is_target_set = lambda g, t, seeds: False
     try:
         check(g, t)
@@ -152,6 +157,7 @@ for i, check in enumerate(checks):
     )
     assert result.stdout.splitlines() == [
         "raised: sharper bound 1 exceeds older bound 0",
+        "raised: target set size 1 exceeds bound 0",
         "raised: tss emitted a set that is not a target set",
         "raised: exact witness is not a target set",
     ]

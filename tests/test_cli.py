@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,10 @@ def test_gen_then_solve_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--edges", str(out_path), "--policy", "const:1")
     assert code == 0
     assert out.splitlines()[1:3] == ["n 100", "m 52"]
+    # --out - writes the same edge list to stdout
+    code, out, _ = run(capsys, "--seed", "1", "gen", "--gen", "gnp:100:0.01", "--out", "-")
+    assert code == 0
+    assert out.encode() == out_path.read_bytes()
 
 
 def test_bound_verb_star(capsys):
@@ -89,6 +94,13 @@ def test_bound_verb_star(capsys):
         "n 9\nm 8\napplicable true\nv2_size 1\n"
         "bound_new 1 (1)\nbound_old 41/9 (4.55556)\ntss_size 1\n"
     )
+
+
+def test_bound_verb_exits_three_when_size_exceeds_bound(capsys, monkeypatch):
+    monkeypatch.setattr("targetset.bounds.bound_new", lambda g, t: Fraction(0))
+    code, out, err = run(capsys, "bound", "--gen", "star:9", "--policy", "const:5")
+    assert (code, out) == (3, "")
+    assert err == "BUG: target set size 1 exceeds bound 0\n"
 
 
 def test_bench_verb_writes_csv(capsys, tmp_path):
@@ -334,3 +346,17 @@ def test_verify_prints_mismatches_and_exits_one(capsys, monkeypatch):
         for line in mismatches
     )
     assert summary == f"clique: 3 instances, {len(mismatches)} mismatches"
+
+    # With the solver right, a wrong closed form is the mismatch reported.
+    monkeypatch.undo()
+    monkeypatch.setattr("targetset.bench.clique_optimum", lambda t: -1)
+    code, out, err = run(
+        capsys, "--seed", "2", "verify", "--class", "clique", "--n-max", "6", "--instances", "3"
+    )
+    assert (code, err) == (1, "")
+    *mismatches, summary = out.splitlines()
+    assert len(mismatches) == 3 and all(
+        re.fullmatch(r"MISMATCH clique n=\d+ seed=\d+: closed form -1 != optimum \d+", line)
+        for line in mismatches
+    )
+    assert summary == "clique: 3 instances, 3 mismatches"

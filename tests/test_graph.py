@@ -26,6 +26,8 @@ def test_construction_normalizes_duplicates_and_loops():
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1)
     for n, edges in (
         (3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(1.0, 2)]), (2.5, []), ("3", []),
         (3, [(Case.SEEDED, 0)]), (3, [(Case.ACTIVATED, 2)]),  # int subclasses, any value
@@ -53,6 +55,8 @@ def test_edge_out_of_range_rejected():
 def test_repeated_labels_rejected():
     with pytest.raises(ValueError, match="labels must be distinct"):
         Graph(3, [(0, 1)], labels=[5, 5, 6])
+    with pytest.raises(ValueError, match="labels length must equal the vertex count"):
+        Graph(3, [], labels=[7, 8])
 
 
 def test_degree_sum_is_twice_edge_count():
