@@ -93,16 +93,25 @@ def _eliminate(
     the same keys as from ``key`` alone.  ``tss_solve``'s table covers
     delta <= 64; ``greedy_tss`` passes an empty one.
 
-    The ranked heap is lazy.  A tss key can rise (a discard lowers a
-    neighbor's degree but not its threshold), so by default every neighbor
-    update pushes the new key, and an entry whose vertex died (k = -1) or
-    whose key changed is dropped at pop time.  ``falling=True`` is for a key
-    that can never rise, such as greedy's degree key: updates push nothing,
-    and a popped alive vertex whose key fell gets its current key pushed
-    back.  Every alive ranked vertex then holds exactly one entry, at least
-    its current key, so the first popped entry that equals its vertex's
-    current key is the largest current key.  A key that can rise would leave
-    its entry below the key, and the heap would pop the wrong vertex.
+    The ranked heap is lazy, and one invariant covers both solvers: every
+    alive ranked vertex holds at least one entry at or above its current
+    key.  The first popped entry that equals its vertex's current key is
+    then the largest current key.  A popped entry whose vertex died
+    (k = -1) is dropped; one whose vertex is alive under another key is
+    dropped and the current key pushed back.  So a neighbor update need
+    push only when the key can have risen.
+
+    ``falling=False`` is ``tss_solve``'s key (seed tier, then ratio, then k).
+    After a DISCARDED removal only delta falls, which raises the key, so
+    every update pushes (no alive vertex is in the seed tier then).  After
+    an ACTIVATED or SEEDED removal, (k + 1, delta + 1) becomes (k, delta):
+    a seed-tier vertex stays in the seed tier with a lower k, and a ratio
+    rises, k / (delta (delta + 1)) > (k + 1) / ((delta + 1)(delta + 2)),
+    exactly when 2k > delta; at 2k = delta the ratios tie and the lower k
+    loses.  So that update pushes only when ``k <= delta < 2 * k``, for
+    the new k and delta.  ``falling=True`` is for a key that never rises,
+    such as greedy's degree key: updates push nothing, and each alive
+    vertex keeps exactly one entry.
 
     The loop binds the ``Case`` members to locals once: on CPython 3.11 a
     read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
@@ -135,8 +144,9 @@ def _eliminate(
             activated += 1
         else:
             # The ready queue is empty, so every alive vertex has k >= 1 and
-            # an entry in ranked; an entry is stale once its vertex died
-            # (k = -1) or its key changed.
+            # an entry in ranked at or above its key.  An entry is stale once
+            # its vertex died (k = -1) or its key changed; an alive vertex's
+            # current key goes back in.
             while True:
                 packed = -heappop(ranked)
                 v = packed % n
@@ -146,8 +156,7 @@ def _eliminate(
                     current = rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)
                     if current == packed:
                         break
-                    if falling:
-                        heappush(ranked, -current)
+                    heappush(ranked, -current)
             if packed >= seed_tier:
                 case = SEEDED
                 target.append(v)
@@ -179,8 +188,11 @@ def _eliminate(
                     heappush(ready, u)
                     continue
             # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
-            if not falling:
-                heappush(ranked, -(rows[du][ku] + u if ku <= du < top else key(ku, du, u)))
+            # After a drop, u's key rose only if ku <= du < 2 * ku; otherwise
+            # its old entry still lies above the new key.
+            if falling or (drops and not ku <= du < 2 * ku):
+                continue
+            heappush(ranked, -(rows[du][ku] + u if ku <= du < top else key(ku, du, u)))
 
     return SolverReport(
         target_set=tuple(sorted(target)),

@@ -173,6 +173,65 @@ def test_key_table_boundary_matches_paper_pseudocode(seed):
     assert huge in report.target_set
 
 
+def _exact_rank(k, d):
+    # The paper's order on (k, delta): the seed tier (k > delta) above every
+    # ratio, then the ratio k / (delta (delta + 1)), then the larger k.
+    if k > d:
+        return (1, Fraction(0), k)
+    return (0, Fraction(k, d * (d + 1)), k)
+
+
+def test_rise_rule_matches_exact_order():
+    # An ACTIVATED or SEEDED neighbor takes (k + 1, d + 1) to (k, d); the
+    # solver pushes a new entry exactly when k <= d < 2k, so that test must
+    # say when the new state outranks the old one.
+    for ku in range(1, 71):
+        for du in range(0, 141):
+            rose = _exact_rank(ku, du) > _exact_rank(ku + 1, du + 1)
+            assert (ku <= du < 2 * ku) == rose, (ku, du)
+
+
+def test_falling_key_gets_no_push(monkeypatch):
+    # The center (d = 4, t = 2) loses its t = 0 leaf first: (2, 4) -> (1, 3)
+    # lowers its ratio from 1/10 to 1/12, so that update pushes nothing, and
+    # the next heap operation is a ranked pop.  Each later discard raises
+    # its key and pushes it once.
+    import targetset.solver as solver
+
+    push, pop = solver.heappush, solver.heappop
+    events = []
+
+    def watched_push(heap, item):
+        push(heap, item)
+        events.append(("push", item))
+
+    def watched_pop(heap):
+        item = pop(heap)
+        events.append(("pop", item))
+        return item
+
+    monkeypatch.setattr(solver, "heappush", watched_push)
+    monkeypatch.setattr(solver, "heappop", watched_pop)
+    g = star_graph(5)
+    t = [2, 0, 1, 1, 1]
+    report = tss_solve(g, t)
+    assert report.elimination_order == paper_elimination_order(g, t)
+    assert report.elimination_order == [
+        (1, Case.ACTIVATED),
+        (4, Case.DISCARDED),
+        (3, Case.DISCARDED),
+        (2, Case.DISCARDED),
+        (0, Case.SEEDED),
+    ]
+    # The four initial ranked entries (every vertex but the leaf with t = 0)
+    # come first, then the ready pop of that leaf.
+    assert [-item % g.n for _, item in events[:4]] == [0, 2, 3, 4]
+    assert events[4] == ("pop", 1)  # the ready queue
+    assert events[5][0] == "pop" and events[5][1] < 0  # ranked, no push between
+    ranked_pushes = [item for kind, item in events[5:] if kind == "push" and item < 0]
+    assert [-item % g.n for item in ranked_pushes] == [0, 0, 0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_output_is_always_a_target_set(seed):
