@@ -125,6 +125,8 @@ class GraphSource:
 
     @classmethod
     def parse(cls, spec: str) -> "GraphSource":
+        if not isinstance(spec, str):
+            raise ValueError(f"graph spec must be a string, got {spec!r}")
         kind, _, rest = spec.partition(":")
         try:
             if kind == "gnp":

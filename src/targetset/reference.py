@@ -57,14 +57,20 @@ def _min_seed_for_component(
 ) -> tuple[list[int], int]:
     """Smallest seed set activating one component, by increasing cardinality.
 
-    Candidates are enumerated lexicographically within each size, with two
-    sound cuts: a prefix never extends with a vertex already inside its
+    Candidates are enumerated lexicographically within each size, with three
+    sound cuts.  A prefix never extends with a vertex already inside its
     activation closure (at the first feasible size such a set would imply a
-    smaller solution), and a subtree is dropped when even seeding every
+    smaller solution).  A subtree is dropped when even seeding every
     remaining candidate at once would not activate the whole component
-    (activation is monotone in the seed set).  Seeding the whole component
-    always works, so the search ends at the optimum.  Size 0 only counts the
-    empty set, which activates nothing once no threshold is 0.
+    (activation is monotone in the seed set).  And it is dropped by counting
+    (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010): each inactive vertex u still
+    needs r(u) = t(u) - |N(u) & closed| neighbours active before it, and
+    each edge among the inactive vertices serves at most one endpoint, so
+    once the ``need`` largest r are seeded the other r sum to at most that
+    edge count.  Size 0 only counts the empty set, which activates nothing
+    once no threshold is 0.  Seeding the whole component always works, so
+    the search ends by size ``len(members)``; if it does not, a cut is
+    unsound and ``AssertionError`` is raised (also under ``python -O``).
     """
     comp_mask = sum(1 << u for u in members)
     adj_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
@@ -79,6 +85,12 @@ def _min_seed_for_component(
         suffix = comp_mask >> members[lo] << members[lo]  # members[lo:] as a mask
         if _close_mask(closed | suffix, members, adj_mask, tt, comp_mask) != comp_mask:
             return None
+        open_mask = comp_mask & ~closed  # the inactive members
+        inactive = [u for u in members if (open_mask >> u) & 1]
+        r = sorted(tt[u] - (adj_mask[u] & closed).bit_count() for u in inactive)
+        edges = sum((adj_mask[u] & open_mask).bit_count() for u in inactive) // 2
+        if sum(r[: len(r) - need]) > edges:
+            return None
         for idx in range(lo, width - need + 1):
             bit = 1 << members[idx]
             if closed & bit:
@@ -89,10 +101,11 @@ def _min_seed_for_component(
                 return [members[idx], *rest]
         return None
 
-    size = 0
-    while (hit := rec(0, 0, size)) is None:
-        size += 1
-    return hit, examined
+    for size in range(width + 1):
+        hit = rec(0, 0, size)
+        if hit is not None:
+            return hit, examined
+    raise AssertionError("exact search found no seed set")
 
 
 def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) -> ExactResult:

@@ -21,10 +21,10 @@ returned set is always a valid target set, found in O(m log n) time.
 ``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
 left, it seeds the alive vertex of largest residual degree.
 
-Heap keys are packed ints ending in ``* n + v``.  ``tss_solve`` takes the
+Heap keys are packed ints ending in ``* n + v``.  ``_eliminate`` takes the
 key of a vertex with 1 <= k <= delta <= 64 as ``rows[delta][k] + v`` from a
-constant per-degree table, built once from its key function, and calls the
-key function only for the seed tier (k > delta) and for degrees above 64.
+constant per-degree table that it builds once from the key function, and
+calls the key function only for k > delta and for degrees above 64.
 ``rows[delta][k] + v`` is the very int ``key(k, delta, v)`` returns, so the
 heap holds the same keys and pops in the same order either way; the table
 only saves a Python call on each push and re-key.  It stops at degree 64:
@@ -46,7 +46,7 @@ from .graph import Graph
 from .thresholds import check_thresholds
 
 
-TABLE_DEGREE = 64  # largest residual degree in tss_solve's key table
+TABLE_DEGREE = 64  # largest residual degree in _eliminate's key table
 
 
 class Case(IntEnum):
@@ -75,23 +75,14 @@ def _eliminate(
     g: Graph,
     t: Sequence[int],
     key: Callable[[int, int, int], int],
-    rows: Sequence[Sequence[int]],
-    seed_tier: int,
-    falling: bool = False,
+    greedy: bool = False,
 ) -> SolverReport:
     """The elimination loop shared by ``tss_solve`` and ``greedy_tss``.
 
     An alive vertex with k = 0 leaves first (ACTIVATED, smallest id first).
     Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
-    when its key is ``>= seed_tier``, DISCARDED below.  Keys are packed ints
-    ending in ``* n + v``, so they are distinct and name their vertex.
-
-    ``rows`` is a key table: whenever ``k <= delta < len(rows)`` the loop
-    takes ``rows[delta][k] + v`` in place of calling ``key``; outside that
-    range (the seed tier k > delta, degrees past the table) it calls
-    ``key``.  Every entry must equal ``key(k, delta, 0)``, so the heap gets
-    the same keys as from ``key`` alone.  ``tss_solve``'s table covers
-    delta <= 64; ``greedy_tss`` passes an empty one.
+    when k > delta, DISCARDED otherwise.  Keys are packed ints ending in
+    ``* n + v``, so they are distinct and name their vertex.
 
     The ranked heap is lazy, and one invariant covers both solvers: every
     alive ranked vertex holds at least one entry at or above its current
@@ -101,7 +92,7 @@ def _eliminate(
     dropped and the current key pushed back.  So a neighbor update need
     push only when the key can have risen.
 
-    ``falling=False`` is ``tss_solve``'s key (seed tier, then ratio, then k).
+    ``greedy=False`` goes with ``tss_solve``'s key (seed tier, ratio, k).
     After a DISCARDED removal only delta falls, which raises the key, so
     every update pushes (no alive vertex is in the seed tier then).  After
     an ACTIVATED or SEEDED removal, (k + 1, delta + 1) becomes (k, delta):
@@ -109,9 +100,10 @@ def _eliminate(
     rises, k / (delta (delta + 1)) > (k + 1) / ((delta + 1)(delta + 2)),
     exactly when 2k > delta; at 2k = delta the ratios tie and the lower k
     loses.  So that update pushes only when ``k <= delta < 2 * k``, for
-    the new k and delta.  ``falling=True`` is for a key that never rises,
-    such as greedy's degree key: updates push nothing, and each alive
-    vertex keeps exactly one entry.
+    the new k and delta.  ``greedy=True`` is for the greedy baseline: every
+    ranked pop seeds, whatever k and delta are, and since its degree key
+    never rises, updates push nothing and each alive vertex keeps exactly
+    one entry.
 
     The loop binds the ``Case`` members to locals once: on CPython 3.11 a
     read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
@@ -130,6 +122,12 @@ def _eliminate(
 
     ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
     ranked: list[int] = []  # every other alive vertex: -key, largest key first
+    # rows[d][k] = key(k, d, 0) for 1 <= k <= d <= TABLE_DEGREE; column 0 is
+    # never read.  Tuples, since the table is constant.
+    rows = tuple(
+        (0,) + tuple(key(kv, dv, 0) for kv in range(1, dv + 1))
+        for dv in range(min(max(delta, default=0), TABLE_DEGREE) + 1)
+    )
     top = len(rows)
     for v in range(n):
         kv = k[v]
@@ -157,7 +155,7 @@ def _eliminate(
                     if current == packed:
                         break
                     heappush(ranked, -current)
-            if packed >= seed_tier:
+            if greedy or kv > dv:
                 case = SEEDED
                 target.append(v)
             else:
@@ -190,7 +188,7 @@ def _eliminate(
             # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
             # After a drop, u's key rose only if ku <= du < 2 * ku; otherwise
             # its old entry still lies above the new key.
-            if falling or (drops and not ku <= du < 2 * ku):
+            if greedy or (drops and not ku <= du < 2 * ku):
                 continue
             heappush(ranked, -(rows[du][ku] + u if ku <= du < top else key(ku, du, u)))
 
@@ -226,13 +224,7 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
             return seed_tier + kv * n + v
         return (kv * scale // (dv * (dv + 1)) * kspan + kv) * n + v
 
-    # rows[d][k] = key(k, d, 0) for 1 <= k <= d <= 64; column 0 is never read.
-    # Tuples, since the table is constant.
-    rows = tuple(
-        (0,) + tuple(key(kv, dv, 0) for kv in range(1, dv + 1))
-        for dv in range(min(max_deg, TABLE_DEGREE) + 1)
-    )
-    return _eliminate(g, t, key, rows, seed_tier)
+    return _eliminate(g, t, key)
 
 
 def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
@@ -243,9 +235,8 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     alive vertex of maximum residual degree (largest id on ties) into the
     target set.  Either way the chosen vertex is removed and every alive
     neighbor loses one degree and one threshold unit (clamped at zero).
-    Every ranked pop seeds (seed tier 0), and the degree key never rises, so
-    the loop runs with ``falling=True`` (see ``_eliminate``).
+    The loop runs with ``greedy=True`` (see ``_eliminate``).
     """
     check_thresholds(g, t)
     n = g.n
-    return _eliminate(g, t, lambda k, d, v: d * n + v, (), 0, falling=True)
+    return _eliminate(g, t, lambda k, d, v: d * n + v, greedy=True)

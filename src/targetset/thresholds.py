@@ -7,20 +7,22 @@ activates (0 means it activates on its own).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 from .graph import Graph, _check_int, _int_pairs, _read_lines, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless ``t`` is a sequence of ``g.n`` ints >= 0."""
-    try:
-        count = len(t)
-    except TypeError:
-        raise ValueError(f"thresholds must be a sequence of ints, got {t!r}") from None
-    if count != g.n:
-        raise ValueError(f"expected {g.n} thresholds, got {count}")
+    """Raise ``ValueError`` unless ``t`` is a sequence of ``g.n`` ints >= 0.
+
+    A dict or a set is rejected: it has a length, but its iteration order
+    (keys, or hash order) is not a vertex order."""
+    if not isinstance(t, Sequence):
+        raise ValueError(f"thresholds must be a sequence of ints, got {t!r}")
+    if len(t) != g.n:
+        raise ValueError(f"expected {g.n} thresholds, got {len(t)}")
     for v, tv in enumerate(t):
         if type(tv) is not int:
             raise ValueError(f"threshold of vertex {v} is not an int: {tv!r}")

@@ -147,6 +147,8 @@ def test_graph_source_rejects_bad_specs():
         "tree:6:4": "bad graph spec", "gnp:0:0.5": "^gnp n must be >= 1$",
         "tree:0": "^tree n must be >= 1$", "cycle:2": "^cycle n must be >= 3$",
         "clique:0": "^clique n must be >= 1$", "star:1": "^star n must be >= 2$",
+        None: "graph spec must be a string", 5: "graph spec must be a string",
+        b"gnp:10:0.5": "graph spec must be a string",
     }
     for bad, match in bad_specs.items():
         with pytest.raises(ValueError, match=match):

@@ -23,11 +23,12 @@ from conftest import path_graph, random_instance
 
 def naive_optimum(g, t):
     """Reference for the reference: plain subset enumeration via the
-    activation engine, no bitsets, no reductions, no pruning."""
+    activation engine, no bitsets, no reductions, no pruning.  Returns the
+    first target set in lexicographic order of the smallest size."""
     for size in range(g.n + 1):
         for seeds in combinations(range(g.n), size):
             if is_target_set(g, t, seeds):
-                return size
+                return seeds
     raise AssertionError("unreachable: the full vertex set is a target set")
 
 
@@ -59,6 +60,20 @@ def test_exact_respects_vertex_cap():
             exact_solve(g, [1] * 30, max_vertices=cap)
 
 
+def test_exact_search_raises_instead_of_looping_when_no_size_works(monkeypatch, capsys):
+    # With a closure that never activates anything, even the whole component
+    # fails the search; it must stop after the last size and report a bug.
+    import targetset.reference as reference
+    from targetset.cli import main
+
+    monkeypatch.setattr(reference, "_close_mask", lambda *args: 0)
+    with pytest.raises(AssertionError, match="exact search found no seed set"):
+        exact_solve(clique_graph(3), [1, 1, 1])
+    argv = ["solve", "--gen", "clique:3", "--thresholds", "1,1,1", "--alg", "exact"]
+    assert main(argv) == 3
+    assert "BUG: exact search found no seed set" in capsys.readouterr().err
+
+
 def test_exact_budget_equal_to_n_always_succeeds():
     g, t = random_instance(5, n_max=10)
     res = exact_solve(g, t, max_vertices=g.n)
@@ -70,7 +85,9 @@ def test_exact_budget_equal_to_n_always_succeeds():
 def test_exact_matches_plain_enumeration(seed):
     g, t = random_instance(seed, n_max=9)
     res = exact_solve(g, t, max_vertices=9)
-    assert res.optimum_size == naive_optimum(g, t)
+    first = naive_optimum(g, t)
+    assert res.optimum_size == len(first)
+    assert res.witness == first  # the witness `solve --alg exact` prints
     assert is_target_set(g, t, res.witness)
     # a vertex with more threshold than neighbours is in every target set
     assert {v for v, d in enumerate(g.degrees) if t[v] > d} <= set(res.witness)

@@ -137,7 +137,9 @@ def test_non_int_thresholds_are_rejected_at_every_entry_point(bad):
             entry(g, t)
 
 
-@pytest.mark.parametrize("bad", [None, 5])
+# A dict or a set has a len, but no vertex order: {0: 9, 1: 9, 2: 9} would
+# be read as its keys [0, 1, 2].
+@pytest.mark.parametrize("bad", [None, 5, {0: 9, 1: 9, 2: 9}, {0, 1, 2}])
 def test_thresholds_without_len_are_rejected_at_every_entry_point(bad):
     for entry in THRESHOLD_ENTRY_POINTS:
         with pytest.raises(ValueError, match="thresholds must be a sequence of ints"):
