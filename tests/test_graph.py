@@ -1,4 +1,7 @@
+import gc
 import io
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +11,13 @@ from targetset import (
     Case,
     Graph,
     connected_components,
+    gnp,
     is_connected,
     load_edge_list,
     load_thresholds,
     write_edge_list,
 )
+from targetset import graph
 from conftest import load_edge_list_by_line, load_thresholds_by_line
 
 
@@ -224,13 +229,19 @@ def outcome(read, *args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(pair_lines(tokens, tokens), max_size=30).flatmap(framed))
-@example("9 9\n1 2\n")  # vertex 9 only ever in a self-loop
-@example("1 2\n3 x\n4 5 6\n")  # a shape error after an integer error
-@example("# only\r\n%comments\r")
-def test_load_edge_list_matches_per_line_reader(tmp_path_factory, text):
-    for source in each_source(text, tmp_path_factory):
-        assert outcome(load_edge_list, source()) == outcome(load_edge_list_by_line, source())
+@given(st.lists(pair_lines(tokens, tokens), max_size=30).flatmap(framed), st.integers(0, 12))
+@example("9 9\n1 2\n", 0)  # vertex 9 only ever in a self-loop
+@example("1 2\n3 x\n4 5 6\n", 2)  # a shape error after an integer error
+@example("# only\r\n%comments\r", 1)
+@example("1 2\r\n3 4\r5 6\n\n# 7\n7 8\n", 3)  # cuts after \r\n and before a blank line
+@example("1 2\r3 4\r\r5 x\r", 2)  # no "\n": cuts after each lone \r
+def test_load_edge_list_matches_per_line_reader(tmp_path_factory, text, chunk):
+    # Once with the load's own chunk size, and once with a chunk of a few
+    # characters, so that most lines start a chunk of their own.
+    for chunk_chars in (graph._CHUNK_CHARS, chunk):
+        with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+            for source in each_source(text, tmp_path_factory):
+                assert outcome(load_edge_list, source()) == outcome(load_edge_list_by_line, source())
 
 
 @st.composite
@@ -267,8 +278,39 @@ def test_load_thresholds_matches_per_line_reader(tmp_path_factory, instance):
 
 
 def test_first_bad_line_is_reported_past_the_first_chunk():
-    lines = [f"{i} {i + 1}" for i in range(10_000)]
-    lines[6000] = "6000 y"
-    lines[9000] = "9000"
-    with pytest.raises(ValueError, match="^line 6001: malformed integer token in '6000 y'$"):
-        load_edge_list("\n".join(lines).encode())
+    # Lines of 14 characters with their "\n", so line i starts at 14 * i:
+    # the first bad line sits half a chunk into the second chunk, and a
+    # second one in the third.
+    width = 14
+    lines = [f"{i:06d} {i + 1:06d}" for i in range(3 * graph._CHUNK_CHARS // width)]
+    first = 3 * graph._CHUNK_CHARS // 2 // width
+    second = 5 * graph._CHUNK_CHARS // 2 // width
+    assert first * width > graph._CHUNK_CHARS + width
+    lines[first] = f"{first:06d} y"
+    lines[second] = f"{second:06d}"
+    text = "\n".join(lines) + "\n"
+    assert text.index(lines[first]) == first * width
+    with pytest.raises(ValueError, match=f"^line {first + 1}: malformed integer token in '{first:06d} y'$"):
+        load_edge_list(text.encode())
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r"])
+def test_load_keeps_its_temporary_data_below_the_graph_it_builds(line_end):
+    # tracemalloc counts Python allocations, not the process's pages, so the
+    # peak is the same in every run.  The text is decoded inside the load.
+    # Bytes keep a lone "\r" (a file read as text would turn it into "\n"),
+    # and a text whose lines end in one must be cut into chunks as well.
+    buf = io.StringIO()
+    write_edge_list(gnp(20_000, 10 / 20_000, seed=1), buf)
+    data = buf.getvalue().replace("\n", line_end).encode()
+    del buf
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(data)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert g.m > 90_000
+    assert peak <= 2 * kept, f"load peak {peak / 2**20:.2f} MiB, graph {kept / 2**20:.2f} MiB"
