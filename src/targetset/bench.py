@@ -13,7 +13,7 @@ from .bounds import bound_new, bound_old
 from .generators import GraphSource, clique_graph, cycle_graph, random_tree
 from .graph import _check_int
 from .reference import ALGORITHMS, EXACT_CAP, TSS, clique_optimum, exact_solve, solve
-from .thresholds import _parse_policy, assign_thresholds, constant_capped, random_in_degree
+from .thresholds import _parse_policy, assign_thresholds, random_in_degree
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -50,13 +50,13 @@ class BenchConfig:
     repetition; ``sweep=None`` means T = 1..10 and an empty sweep is an
     error.  Other policies draw one assignment per (source, repetition) and
     take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
-    a sweep value that is not an int, is below 1 or is repeated (checked
-    here, before any graph is built), ``repetitions`` that is not an int
-    >= 1, a ``seed`` that is not an int, an ``exact_cap`` that is not an
-    int >= 0, empty ``sources`` or ``algorithms``, a source that is not a
-    ``GraphSource``, a repeated source (two sources with one name build the
-    same graphs), and a policy that ``assign_thresholds`` would reject
-    (``file:`` without a path, say).
+    a sweep that is not a sequence, a sweep value that is not an int, is
+    below 1 or is repeated (checked here, before any graph is built),
+    ``repetitions`` that is not an int >= 1, a ``seed`` that is not an
+    int, an ``exact_cap`` that is not an int >= 0, empty ``sources`` or
+    ``algorithms``, a source that is not a ``GraphSource``, a repeated
+    source (two sources with one name build the same graphs), and a policy
+    that ``assign_thresholds`` would reject (``file:`` without a path, say).
     ``timings`` off keeps the CSV byte-identical across runs; switch it on
     to study scaling.
     """
@@ -87,16 +87,16 @@ class BenchConfig:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"repeated algorithm in {','.join(self.algorithms)!r}")
-        kind = "const" if self.policy == "const" else _parse_policy(self.policy)[0]
-        if kind != "const":
+        if self.policy != "const":
+            if _parse_policy(self.policy)[0] == "const":
+                raise ValueError(f"bench ignores T in {self.policy!r}; "
+                                 "pass the const values with --sweep")
             if self.sweep is not None:
                 raise ValueError(f"--sweep needs the const policy; {self.policy!r} ignores it")
-        elif self.policy != "const":
-            raise ValueError(
-                f"bench ignores T in {self.policy!r}; pass the const values with --sweep"
-            )
         elif self.sweep is None:
             object.__setattr__(self, "sweep", tuple(range(1, 11)))
+        elif not isinstance(self.sweep, Sequence):
+            raise ValueError(f"sweep must be a sequence of ints, got {self.sweep!r}")
         elif not self.sweep:
             raise ValueError("const policy needs a nonempty sweep")
         seen: set[int] = set()
@@ -131,11 +131,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
             g = src.with_seed(gseed).build()
             for t_param in cfg.sweep or (None,):
-                if t_param is None:
-                    tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
-                    t = assign_thresholds(g, cfg.policy, tseed)
-                else:
-                    t = constant_capped(g, t_param)
+                policy = cfg.policy if t_param is None else f"const:{t_param}"
+                tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
+                t = assign_thresholds(g, policy, tseed)
                 for alg in cfg.algorithms:
                     instance = dict(graph_name=src.name, n=g.n, m=g.m, t_param=t_param,
                                     algorithm=alg, seed=gseed)

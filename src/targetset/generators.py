@@ -69,8 +69,6 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
     rng = _rng(seed)
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:
@@ -138,7 +136,7 @@ class GraphSource:
                 if not rest:
                     raise ValueError("edges source needs a file path")
                 return cls("edges", path=rest)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad graph spec {spec!r}: {exc}") from None
         raise ValueError(f"bad graph spec {spec!r}")
 

@@ -16,6 +16,7 @@ load holds one chunk's strings and ints, never the whole file's; it runs
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import count, filterfalse
 from pathlib import Path
@@ -30,7 +31,8 @@ class Graph:
     (a duplicate edge, in either orientation) is rebuilt without it
     (``_normalise``, which :func:`load_edge_list` applies too).  An
     endpoint whose type is not exactly int (a bool, a float or an
-    ``IntEnum``) and a repeated label raise ``ValueError``.  ``adjacency[v]``
+    ``IntEnum``), labels that are not an iterable of hashable ids and a
+    repeated label raise ``ValueError``.  ``adjacency[v]``
     is the sorted neighbor list of ``v``; the lists are exposed directly for
     speed and must not be mutated.
 
@@ -72,11 +74,17 @@ class Graph:
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self.adjacency = adj
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal the vertex count")
-        if self.labels is not None and len(set(self.labels)) < n:
-            raise ValueError("labels must be distinct")
+        if labels is not None:
+            try:
+                labels = tuple(labels)
+                distinct = len(set(labels))
+            except TypeError:
+                raise ValueError("labels must be an iterable of hashable ids") from None
+            if len(labels) != n:
+                raise ValueError("labels length must equal the vertex count")
+            if distinct < n:
+                raise ValueError("labels must be distinct")
+        self.labels = labels
 
     @classmethod
     def _from_adjacency(cls, adj: list[list[int]], labels: tuple | None = None) -> "Graph":
@@ -169,13 +177,22 @@ def _normalise(adj: list[list[int]]) -> None:
 
 
 def _read_text(source: str | Path | bytes | IO) -> str:
-    """The text of a path, bytes, or an open text or binary stream."""
+    """The text of a path, bytes, or an open text or binary stream; any
+    other source raises ``ValueError``."""
     if hasattr(source, "read"):
         data = source.read()
         return data.decode() if isinstance(data, bytes) else data
     if isinstance(source, bytes):
         return source.decode()
-    return Path(source).read_text()
+    return Path(_check_path(source)).read_text()
+
+
+def _check_path(path):
+    """``path`` itself when it is a str or a path object; anything else
+    raises ``ValueError``, where ``Path`` would raise ``TypeError``."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"expected a file path or a stream, got {path!r}")
+    return path
 
 
 # Characters per chunk of an edge-list load.  A chunk's line strings and
@@ -285,4 +302,4 @@ def write_edge_list(g: Graph, target: str | Path | IO) -> None:
     if hasattr(target, "write"):
         target.write(text)
     else:
-        Path(target).write_text(text)
+        Path(_check_path(target)).write_text(text)

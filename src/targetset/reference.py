@@ -165,10 +165,12 @@ def solve(
 ) -> tuple[SolverReport | ExactResult, tuple[int, ...], float]:
     """Run algorithm ``alg`` and re-check its set; return ``(result,
     solution, seconds)``, with the solver call alone timed.  An unknown name
-    raises ``ValueError``; a set that is not a target set is a solver bug and
+    and an ``exact_cap`` that is not an int >= 0 raise ``ValueError`` (for
+    every algorithm); a set that is not a target set is a solver bug and
     raises ``AssertionError``, also under ``python -O``."""
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}")
+    _check_int("exact_cap", exact_cap, 0)
     start = time.perf_counter()
     if alg == EXACT:
         result = exact_solve(g, t, max_vertices=exact_cap)
@@ -195,6 +197,8 @@ def clique_optimum(thresholds_sorted: Sequence[int]) -> int:
 
         m + max over 1 <= j <= n-m of max(t(u_j) - m - j + 1, 0).
     """
+    if not isinstance(thresholds_sorted, Sequence):
+        raise ValueError(f"thresholds must be a sequence of ints, got {thresholds_sorted!r}")
     ts = list(thresholds_sorted)
     for tv in ts:
         _check_int("threshold", tv, 0)

@@ -21,6 +21,11 @@ returned set is always a valid target set, found in O(m log n) time.
 ``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
 left, it seeds the alive vertex of largest residual degree.
 
+``_eliminate`` checks the thresholds before it copies them into k.  The k
+digit of ``tss_solve``'s key spans the largest degree plus one, not the
+largest threshold plus one; the order is the same, since only keys below
+the seed tier need k < span, and there k <= delta.
+
 Heap keys are packed ints ending in ``* n + v``.  ``_eliminate`` takes the
 key of a vertex with 1 <= k <= delta <= 64 as ``rows[delta][k] + v`` from a
 constant per-degree table that it builds once from the key function, and
@@ -111,6 +116,7 @@ def _eliminate(
     reason it counts only the ACTIVATED removals; the SEEDED count is the
     size of the target set and the rest were DISCARDED.
     """
+    check_thresholds(g, t)
     n = g.n
     adj = g.adjacency
     delta = g.degrees
@@ -204,7 +210,6 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
 
     Deterministic for a fixed input under the documented tie-breaks.
     """
-    check_thresholds(g, t)
     n = g.n
     # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
     # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
@@ -212,11 +217,12 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
     # floor preserves their exact order and maps equal ratios equally.  Keys
     # pack (surrogate, k, id) lexicographically into one int; the surrogate
     # never exceeds scale, so case-2 keys (k, id) above seed_tier outrank
-    # every case-3 key.
+    # every case-3 key.  Only a case-3 key needs k < kspan, and there
+    # k <= delta <= max_deg, so kspan comes from the degree, not from t.
     max_deg = max(map(len, g.adjacency), default=0)
     bound = max_deg * (max_deg + 1)
     scale = 2 * bound * bound if bound else 2
-    kspan = max(t, default=0) + 1
+    kspan = max_deg + 1
     seed_tier = (scale + 1) * kspan * n
 
     def key(kv: int, dv: int, v: int) -> int:
@@ -237,6 +243,5 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     neighbor loses one degree and one threshold unit (clamped at zero).
     The loop runs with ``greedy=True`` (see ``_eliminate``).
     """
-    check_thresholds(g, t)
     n = g.n
     return _eliminate(g, t, lambda k, d, v: d * n + v, greedy=True)

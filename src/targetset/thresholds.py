@@ -55,11 +55,7 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
     """Read explicit "vertex_id threshold" lines, ids in the graph's original
     id space.  Every vertex must be covered exactly once; missing ones are
     listed in the error, and a repeated id is an error."""
-    to_internal = (
-        {orig: v for v, orig in enumerate(g.labels)}
-        if g.labels is not None
-        else {v: v for v in range(g.n)}
-    )
+    to_internal = {g.original_id(v): v for v in range(g.n)}
     values: dict[int, int] = {}
     for lineno, orig, tv in _int_pairs(_read_text(source).splitlines(), "'vertex_id threshold'"):
         v = to_internal.get(orig)

@@ -8,8 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from targetset import (
+    BenchConfig,
     Case,
     Graph,
+    GraphSource,
+    clique_optimum,
     connected_components,
     gnp,
     is_connected,
@@ -18,7 +21,8 @@ from targetset import (
     write_edge_list,
 )
 from targetset import graph
-from conftest import load_edge_list_by_line, load_thresholds_by_line
+from targetset.reference import solve
+from conftest import load_edge_list_by_line, load_thresholds_by_line, path_graph
 
 
 def test_construction_normalizes_duplicates_and_loops():
@@ -62,6 +66,29 @@ def test_repeated_labels_rejected():
         Graph(3, [(0, 1)], labels=[5, 5, 6])
     with pytest.raises(ValueError, match="labels length must equal the vertex count"):
         Graph(3, [], labels=[7, 8])
+
+
+# Each input is checked by the function that owns it, so a value of the
+# wrong type raises ValueError there instead of TypeError from deep inside.
+@pytest.mark.parametrize("call, message", [
+    (lambda: load_edge_list(5), "expected a file path or a stream"),
+    (lambda: load_thresholds(path_graph(3), None), "expected a file path or a stream"),
+    (lambda: GraphSource("edges").build(), "expected a file path or a stream"),
+    (lambda: write_edge_list(path_graph(3), 5), "expected a file path or a stream"),
+    (lambda: Graph(2, [], labels=5), "labels must be an iterable of hashable ids"),
+    (lambda: Graph(2, [], labels=[[1], [2]]), "labels must be an iterable of hashable ids"),
+    (lambda: clique_optimum(5), "thresholds must be a sequence of ints"),
+    (lambda: BenchConfig(sources=(GraphSource.parse("star:5"),), sweep=3),
+     "sweep must be a sequence of ints"),
+    (lambda: solve(path_graph(3), [1, 1, 1], "tss", exact_cap=-1), "exact_cap must be >= 0"),
+    (lambda: solve(path_graph(3), [1, 1, 1], "greedy", exact_cap=-1), "exact_cap must be >= 0"),
+    (lambda: solve(path_graph(3), [1, 1, 1], "tss", exact_cap="x"), "exact_cap must be an int"),
+], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "labels-int",
+        "labels-unhashable", "clique-int", "sweep-int", "solve-cap-negative",
+        "greedy-cap-negative", "solve-cap-str"])
+def test_bad_inputs_raise_value_error_at_their_owner(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_degree_sum_is_twice_edge_count():

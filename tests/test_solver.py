@@ -95,12 +95,13 @@ def test_solver_is_deterministic():
     assert tss_solve(g, t) == tss_solve(g, t)
 
 
-def test_threshold_validation():
+@pytest.mark.parametrize("solver", [tss_solve, greedy_tss], ids=lambda f: f.__name__)
+def test_threshold_validation(solver):
     g = path_graph(3)
-    with pytest.raises(ValueError):
-        tss_solve(g, [1, 1])
-    with pytest.raises(ValueError):
-        tss_solve(g, [1, -1, 1])
+    with pytest.raises(ValueError, match="expected 3 thresholds"):
+        solver(g, [1, 1])
+    with pytest.raises(ValueError, match="negative"):
+        solver(g, [1, -1, 1])
 
 
 def paper_elimination_order(g, t):
@@ -135,6 +136,19 @@ def paper_elimination_order(g, t):
 def test_elimination_order_matches_paper_pseudocode(seed):
     g, t = random_instance(seed)
     assert tss_solve(g, t).elimination_order == paper_elimination_order(g, t)
+
+
+def test_key_keeps_a_near_tie_in_ratio_order():
+    # Hubs 25 (k/d = 19/25) and 26 (10/18) over a 25-clique of threshold 1:
+    # the surrogate of 10/(18*19) tops that of 19/(25*26) by 8, less than
+    # their k gap of 9, so a k digit spanning too few values (1, say) would
+    # rank hub 25 first.
+    edges = [(u, v) for u in range(25) for v in range(u + 1, 25)]
+    edges += [(25, v) for v in range(25)] + [(26, v) for v in range(18)]
+    g, t = Graph(27, edges), [1] * 25 + [19, 10]
+    order = tss_solve(g, t).elimination_order
+    assert order[:2] == [(26, Case.DISCARDED), (25, Case.DISCARDED)]
+    assert order == paper_elimination_order(g, t)
 
 
 def hub_instance(seed):
