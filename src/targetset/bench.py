@@ -53,10 +53,11 @@ class BenchConfig:
     a sweep that is not a sequence, a sweep value that is not an int, is
     below 1 or is repeated (checked here, before any graph is built),
     ``repetitions`` that is not an int >= 1, a ``seed`` that is not an
-    int, an ``exact_cap`` that is not an int >= 0, empty ``sources`` or
-    ``algorithms``, a source that is not a ``GraphSource``, a repeated
-    source (two sources with one name build the same graphs), and a policy
-    that ``assign_thresholds`` would reject (``file:`` without a path, say).
+    int, an ``exact_cap`` that is not an int >= 0, ``sources`` or
+    ``algorithms`` that is not a sequence or is empty, a source that is
+    not a ``GraphSource``, a repeated source (two sources with one name
+    build the same graphs), and a policy that ``assign_thresholds`` would
+    reject (``file:`` without a path, say).
     ``timings`` off keeps the CSV byte-identical across runs; switch it on
     to study scaling.
     """
@@ -71,6 +72,10 @@ class BenchConfig:
     exact_cap: int = EXACT_CAP
 
     def __post_init__(self):
+        if not isinstance(self.sources, Sequence):
+            raise ValueError(f"sources must be a sequence of GraphSources, got {self.sources!r}")
+        if not isinstance(self.algorithms, Sequence):
+            raise ValueError(f"algorithms must be a sequence of names, got {self.algorithms!r}")
         if not self.sources:
             raise ValueError("bench needs at least one graph source")
         if not self.algorithms:

@@ -29,6 +29,16 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     skip arithmetic makes a fresh int for each lower endpoint, and on
     G(100000, 10/n) those copies took 15 of the graph's 34 MiB.  The row
     vertex and its list are bound once per row.
+
+    Two steps of the loop are cheaper forms that keep the random stream, each
+    float operation of a skip, and so the edge order and every list.  A skip
+    is compared with ``limit``, the smallest float >= the int pair count
+    ``pairs = n(n - 1)/2`` (:func:`_float_ceiling`): for a float skip,
+    ``skip >= limit`` holds exactly when ``skip >= pairs`` does, and a
+    float-to-float compare is cheaper than a float-to-int one.  Past that
+    break a skip is finite and >= 0 (or -0.0), so ``floor(skip)`` is the int
+    that ``int(skip)`` would truncate it to, without a call to the ``int``
+    type.
     """
     _check_int("gnp n", n, 1)
     if not isinstance(p, Real):
@@ -37,8 +47,9 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
         raise ValueError("gnp needs 0 < p < 1")
     uniform = _rng(seed).random
     log = math.log
+    floor = math.floor
     log_q = math.log1p(-p)
-    pairs = n * (n - 1) // 2
+    limit = _float_ceiling(n * (n - 1) // 2)
     ids = list(range(n))
     adj: list[list[int]] = [[] for _ in ids]
     # Row 0 has no pairs (w < v), so the first draw always advances to
@@ -46,9 +57,9 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     v, w = 0, -1
     while True:
         skip = log(1.0 - uniform()) / log_q
-        if skip >= pairs:  # passes the last pair; may be inf for a tiny p
+        if skip >= limit:  # passes the last pair; may be inf for a tiny p
             break
-        w += 1 + int(skip)
+        w += floor(skip) + 1
         if w >= v:
             while w >= v and v < n:
                 w -= v
@@ -60,6 +71,13 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
         row.append(ids[w])
         adj[w].append(row_id)
     return Graph._from_adjacency(adj)
+
+
+def _float_ceiling(x: int) -> float:
+    """The smallest float >= the int ``x``.  ``float(x)`` rounds to nearest,
+    so past 2**53 it can fall below ``x``; it is then stepped up once."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 def random_tree(n: int, seed: int | None = None) -> Graph:

@@ -100,7 +100,7 @@ class Graph:
 
     @property
     def degrees(self) -> list[int]:
-        return [len(lst) for lst in self.adjacency]
+        return list(map(len, self.adjacency))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v."""
@@ -128,6 +128,12 @@ def _check_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def _check_graph(g) -> None:
+    """Reject ``g`` with ``ValueError`` unless it is a :class:`Graph`."""
+    if not isinstance(g, Graph):
+        raise ValueError(f"expected a Graph, got {g!r}")
+
+
 def _rng(seed: int | None) -> random.Random:
     """The random stream of an int seed (a bool is not one), or a freshly
     seeded stream for ``None``; any other seed raises ``ValueError``."""
@@ -138,6 +144,7 @@ def _rng(seed: int | None) -> random.Random:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
+    _check_graph(g)
     seen = [False] * g.n
     adj = g.adjacency
     comps: list[list[int]] = []
@@ -160,7 +167,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return len(connected_components(g)) <= 1
 
 
 def _normalise(adj: list[list[int]]) -> None:
@@ -295,6 +302,7 @@ def write_edge_list(g: Graph, target: str | Path | IO) -> None:
     Vertices are written in the graph's reporting id space, so a loaded
     graph round-trips through its original ids.
     """
+    _check_graph(g)
     name = g.original_id
     lines = [f"{name(u)} {name(v)}" for u, v in g.edges()]
     lines += [f"{name(v)} {name(v)}" for v, nbrs in enumerate(g.adjacency) if not nbrs]

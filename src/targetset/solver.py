@@ -47,7 +47,7 @@ from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
-from .graph import Graph
+from .graph import Graph, _check_graph
 from .thresholds import check_thresholds
 
 
@@ -210,6 +210,7 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
 
     Deterministic for a fixed input under the documented tie-breaks.
     """
+    _check_graph(g)  # the key reads g before _eliminate checks t
     n = g.n
     # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
     # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
@@ -243,5 +244,6 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     neighbor loses one degree and one threshold unit (clamped at zero).
     The loop runs with ``greedy=True`` (see ``_eliminate``).
     """
+    _check_graph(g)
     n = g.n
     return _eliminate(g, t, lambda k, d, v: d * n + v, greedy=True)

@@ -11,14 +11,16 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import IO
 
-from .graph import Graph, _check_int, _int_pairs, _read_text, _rng
+from .graph import Graph, _check_graph, _check_int, _int_pairs, _read_text, _rng
 
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless ``t`` is a sequence of ``g.n`` ints >= 0.
+    """Raise ``ValueError`` unless ``g`` is a :class:`Graph` and ``t`` is a
+    sequence of ``g.n`` ints >= 0.
 
     A dict or a set is rejected: it has a length, but its iteration order
     (keys, or hash order) is not a vertex order."""
+    _check_graph(g)
     if not isinstance(t, Sequence):
         raise ValueError(f"thresholds must be a sequence of ints, got {t!r}")
     if len(t) != g.n:
@@ -36,18 +38,41 @@ def constant_capped(g: Graph, t: int) -> list[int]:
     Isolated vertices get 0 under this policy (min(t, 0) = 0), i.e. they
     self-activate; real social networks have none.
     """
+    _check_graph(g)
     _check_int("constant-capped t", t, 1)
-    return [min(t, len(nbrs)) for nbrs in g.adjacency]
+    return [d if d < t else t for d in map(len, g.adjacency)]
 
 
 def random_in_degree(g: Graph, seed: int | None = None) -> list[int]:
-    """Uniform random t(v) in [1, d(v)] per vertex (0 for isolated vertices)."""
-    rng = _rng(seed)
-    return [rng.randint(1, len(nbrs)) if nbrs else 0 for nbrs in g.adjacency]
+    """Uniform random t(v) in [1, d(v)] per vertex (0 for isolated vertices).
+
+    Each draw is ``random.Random.randint(1, d)``'s own, inlined: on CPython
+    ``randint`` calls ``randrange``, which returns 1 plus
+    ``_randbelow_with_getrandbits(d)``, and that draws ``getrandbits(b)``
+    with ``b = d.bit_length()`` until the value is below ``d``.  The loop
+    below makes the same ``getrandbits`` calls in the same order, so the
+    stream and every value stay those of ``randint``, without its three
+    Python frames per vertex.
+    """
+    _check_graph(g)
+    draw = _rng(seed).getrandbits
+    t: list[int] = []
+    push = t.append
+    for d in map(len, g.adjacency):
+        if d:
+            b = d.bit_length()
+            r = draw(b)
+            while r >= d:
+                r = draw(b)
+            push(r + 1)
+        else:
+            push(0)
+    return t
 
 
 def degree_thresholds(g: Graph) -> list[int]:
     """t(v) = d(v); under this policy any target set is a vertex cover."""
+    _check_graph(g)
     return g.degrees
 
 
@@ -55,6 +80,7 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
     """Read explicit "vertex_id threshold" lines, ids in the graph's original
     id space.  Every vertex must be covered exactly once; missing ones are
     listed in the error, and a repeated id is an error."""
+    _check_graph(g)
     to_internal = {g.original_id(v): v for v in range(g.n)}
     values: dict[int, int] = {}
     for lineno, orig, tv in _int_pairs(_read_text(source).splitlines(), "'vertex_id threshold'"):

@@ -143,6 +143,10 @@ def test_config_validation():
         BenchConfig(sources=src, algorithms=())
     with pytest.raises(ValueError, match="at least one graph source"):
         BenchConfig(sources=())
+    with pytest.raises(ValueError, match="sources must be a sequence of GraphSources"):
+        BenchConfig(sources=5)
+    with pytest.raises(ValueError, match="algorithms must be a sequence of names"):
+        BenchConfig(sources=src, algorithms=5)
     with pytest.raises(ValueError, match="repeated graph source 'star:5'"):
         BenchConfig(sources=src * 2)
     with pytest.raises(ValueError, match="graph source 'star:5' is not a GraphSource"):

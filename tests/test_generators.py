@@ -11,10 +11,12 @@ from targetset import (
     clique_graph,
     connected_components,
     cycle_graph,
+    derive_seed,
     gnp,
     random_tree,
     star_graph,
 )
+from targetset.generators import _float_ceiling
 
 
 def test_clique_edge_count():
@@ -104,6 +106,8 @@ def gnp_via_edge_list(n, p, seed):
     st.integers(0, 2**64),
 )
 @example(300, 0.5, 1)  # ids above 256, which CPython does not cache
+@example(5000, 0.002, derive_seed(1, "graph", "gnp:5000:0.002", 0))  # the gnp-sweep size
+@example(300, 0.999, 2)  # most skips floor to 0
 def test_gnp_matches_edge_list_construction(n, p, seed):
     g = gnp(n, p, seed=seed)
     expected = gnp_via_edge_list(n, p, seed)
@@ -113,6 +117,23 @@ def test_gnp_matches_edge_list_construction(n, p, seed):
     assert len({id(u) for lst in g.adjacency for u in lst}) <= n
     rebuilt = Graph(g.n, g.edges())
     assert (rebuilt.m, rebuilt.adjacency) == (g.m, g.adjacency)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**80), st.integers(-2, 2))
+@example(2**53 + 1, -1)  # float(2**53 + 1) is 2**53, below the int
+def test_float_ceiling_keeps_the_skip_compare(x, steps):
+    f = _float_ceiling(x)
+    assert f >= x > math.nextafter(f, -math.inf)
+    skip = f  # a float up to two steps either side of the limit
+    for _ in range(abs(steps)):
+        skip = math.nextafter(skip, math.copysign(math.inf, steps))
+    assert (skip >= f) == (skip >= x)
+
+
+def test_float_ceiling_steps_past_a_rounded_down_int():
+    assert float(2**53 + 1) < 2**53 + 1
+    assert _float_ceiling(2**53 + 1) == 2.0**53 + 2
 
 
 @settings(max_examples=50)

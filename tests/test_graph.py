@@ -12,12 +12,21 @@ from targetset import (
     Case,
     Graph,
     GraphSource,
+    bound_new,
+    check_thresholds,
     clique_optimum,
     connected_components,
+    constant_capped,
+    degree_thresholds,
     gnp,
+    greedy_tss,
     is_connected,
+    is_target_set,
     load_edge_list,
     load_thresholds,
+    random_in_degree,
+    run_activation,
+    tss_solve,
     write_edge_list,
 )
 from targetset import graph
@@ -88,6 +97,29 @@ def test_repeated_labels_rejected():
         "greedy-cap-negative", "solve-cap-str"])
 def test_bad_inputs_raise_value_error_at_their_owner(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+# A graph argument that is not a Graph fails at the boundary, never with an
+# AttributeError from inside (an int has no .n, .adjacency or .degrees).
+@pytest.mark.parametrize("call", [
+    lambda: tss_solve(5, [1]),
+    lambda: greedy_tss(5, [1]),
+    lambda: is_target_set(5, [1], []),
+    lambda: run_activation(5, [1], []),
+    lambda: bound_new(5, [1]),
+    lambda: check_thresholds(5, [1]),
+    lambda: constant_capped(5, 1),
+    lambda: random_in_degree(5, 1),
+    lambda: degree_thresholds(5),
+    lambda: load_thresholds(5, io.StringIO("0 1\n")),
+    lambda: connected_components(5),
+    lambda: is_connected(5),
+    lambda: write_edge_list(5, io.StringIO()),
+], ids=["tss", "greedy", "is-target-set", "activation", "bound", "check", "const", "random",
+        "degree", "file", "components", "connected", "write"])
+def test_non_graph_argument_is_rejected_at_the_boundary(call):
+    with pytest.raises(ValueError, match="^expected a Graph, got 5$"):
         call()
 
 

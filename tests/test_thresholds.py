@@ -1,6 +1,9 @@
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetset import (
     Graph,
@@ -38,6 +41,45 @@ def test_constant_capped_requires_positive_t():
 def test_constant_capped_isolated_vertex_gets_zero():
     g = Graph(3, [(0, 1)])
     assert constant_capped(g, 4) == [1, 1, 0]
+
+
+# Degrees 1, 2, 3 and every power of two +- 1 up to 1025, where a draw is
+# rejected most often (at and just past a power of two) and least often
+# (just below one), plus isolated vertices: a union of stars, one center
+# per degree, and three vertices without edges.
+STREAM_DEGREES = sorted({1, 2, 3} | {2**k + j for k in range(1, 11) for j in (-1, 0, 1)})
+
+
+def _stars(degrees):
+    edges, n = [], 0
+    for d in degrees:
+        edges += [(n, n + i) for i in range(1, d + 1)]
+        n += d + 1
+    return Graph(n + 3, edges)
+
+
+STREAM_GRAPH = _stars(STREAM_DEGREES)
+
+
+def test_random_policy_copies_the_cpython_randint_path():
+    # random_in_degree inlines randint(1, d) = 1 + _randbelow(d); this is the
+    # getrandbits path it copies.
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64))
+def test_random_policy_draws_randints_stream(seed):
+    rng = random.Random(seed)
+    expected = [rng.randint(1, d) if d else 0 for d in STREAM_GRAPH.degrees]
+    assert random_in_degree(STREAM_GRAPH, seed) == expected
+
+
+def test_constant_capped_is_min_of_t_and_degree():
+    degrees = STREAM_GRAPH.degrees
+    assert set(degrees) == {0} | set(STREAM_DEGREES)
+    for t in {1, 2, 10**12} | {d + j for d in STREAM_DEGREES for j in (0, 1)}:
+        assert constant_capped(STREAM_GRAPH, t) == [min(t, d) for d in degrees]
 
 
 def test_degree_policy_is_the_degree_sequence():
