@@ -10,7 +10,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
 from .bounds import bound_new, bound_old
-from .generators import GraphSource, clique_graph, cycle_graph, random_tree
+from .generators import _SEEDED_KINDS, GraphSource, clique_graph, cycle_graph, random_tree
 from .graph import _check_int
 from .reference import ALGORITHMS, EXACT_CAP, TSS, clique_optimum, exact_solve, solve
 from .thresholds import _parse_policy, assign_thresholds, random_in_degree
@@ -128,13 +128,18 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     continues; an emitted set that fails the target-set re-check raises
     ``AssertionError``, because that is a bug.  A source that cannot be
     built (a missing edge file, say) raises ``ValueError`` or ``OSError``
-    when the loop reaches it.
+    when the loop reaches it.  A source whose graph ignores the seed (an
+    edge-list file, a cycle, a clique or a star) is built once and its graph
+    shared by every repetition, which a ``Graph`` allows because it cannot
+    be mutated; the ``seed`` column still names each repetition's seed.
     """
     rows = []
     for src in cfg.sources:
+        g = None
         for rep in range(cfg.repetitions):
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
-            g = src.with_seed(gseed).build()
+            if g is None or src.kind in _SEEDED_KINDS:
+                g = src.with_seed(gseed).build()
             for t_param in cfg.sweep or (None,):
                 policy = cfg.policy if t_param is None else f"const:{t_param}"
                 tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
@@ -162,8 +167,14 @@ def write_csv(rows: Sequence[BenchRow], stream: IO) -> None:
     """Write ``CSV_HEADER`` and one line per row, fields in declaration order.
 
     The ``csv`` module quotes a field that holds a comma, a quote or a line
-    break; ``None`` becomes an empty field.
+    break; ``None`` becomes an empty field.  ``rows`` that is not a sequence
+    of ``BenchRow`` and a ``stream`` without a ``write`` method raise
+    ``ValueError`` before anything is written.
     """
+    if not (isinstance(rows, Sequence) and all(isinstance(row, BenchRow) for row in rows)):
+        raise ValueError(f"rows must be a sequence of BenchRows, got {rows!r}")
+    if not callable(getattr(stream, "write", None)):
+        raise ValueError(f"expected a writable stream, got {stream!r}")
     writer = csv.writer(stream, lineterminator="\n")
     stream.write(CSV_HEADER + "\n")
     writer.writerows(astuple(row) for row in rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, _check_graph
 from .thresholds import check_thresholds
 
 
@@ -95,7 +95,13 @@ def format_trace(trace: ActivationTrace, g: Graph | None = None) -> str:
     """Render a trace one line per round: ``round_index: sorted vertex ids``.
 
     When a labeled graph is given, ids are reported in its original id space.
+    A ``trace`` that is not an :class:`ActivationTrace` or a ``g`` that is
+    neither ``None`` nor a ``Graph`` raises ``ValueError``.
     """
+    if not isinstance(trace, ActivationTrace):
+        raise ValueError(f"expected an ActivationTrace, got {trace!r}")
+    if g is not None:
+        _check_graph(g)
     lines = []
     for i, round_set in enumerate(trace.rounds):
         ids = sorted(g.original_ids(round_set) if g is not None else round_set)

@@ -2,7 +2,7 @@
 
 The whole library works on :class:`Graph`: an immutable simple undirected
 graph whose vertices are exactly ``0 .. n-1``, stored as sorted adjacency
-lists.  Graphs loaded from edge-list files keep the original external ids in
+tuples.  Graphs loaded from edge-list files keep the original external ids in
 ``labels`` so results can be reported in the caller's id space.
 
 Edge-list and threshold files share one format, defined by the per-line
@@ -27,23 +27,26 @@ class Graph:
     """Immutable simple undirected graph.
 
     The constructor normalizes its input: self-loops are dropped, every
-    adjacency list is sorted, and a list that then holds a repeated neighbor
-    (a duplicate edge, in either orientation) is rebuilt without it
-    (``_normalise``, which :func:`load_edge_list` applies too).  An
-    endpoint whose type is not exactly int (a bool, a float or an
-    ``IntEnum``), labels that are not an iterable of hashable ids and a
-    repeated label raise ``ValueError``.  ``adjacency[v]``
-    is the sorted neighbor list of ``v``; the lists are exposed directly for
-    speed and must not be mutated.
+    adjacency list is sorted, a list that then holds a repeated neighbor
+    (a duplicate edge, in either orientation) is rebuilt without it, and
+    each list is frozen into a tuple (``_normalise``, which
+    :func:`load_edge_list` applies too).  An ``edges`` argument that is not
+    an iterable of pairs, an endpoint whose type is not exactly int (a bool,
+    a float or an ``IntEnum``), labels that are not an iterable of hashable
+    ids and a repeated label raise ``ValueError``.  ``adjacency[v]`` is the
+    sorted neighbor tuple of ``v``, exposed directly for speed; a tuple
+    holds its items inline, so reading a neighbor costs one memory access
+    fewer than through a list, and it cannot be mutated.
 
-    :meth:`_from_adjacency` wraps lists that already hold this invariant
-    without checking it: each list is strictly increasing, holds int ids of
+    :meth:`_from_adjacency` wraps tuples that already hold this invariant
+    without checking it: each tuple is strictly increasing, holds int ids of
     other vertices only, and ``u`` is in ``adj[v]`` exactly when ``v`` is in
     ``adj[u]``.  Its callers are ``generators.gnp``, whose skip sampler
-    emits such lists, and :func:`load_edge_list`, which normalises the lists
-    it fills.  Both bulk builders fill the lists with one shared int object
-    per vertex id (``gnp`` from a list of ids, the loader from its id map),
-    so an id costs one object however many lists name it.
+    emits such lists and freezes them in one pass at its end, and
+    :func:`load_edge_list`, which normalises the lists it fills.  Both bulk
+    builders fill the lists with one shared int object per vertex id
+    (``gnp`` from a list of ids, the loader from its id map), so an id costs
+    one object however many tuples name it.
     """
 
     __slots__ = ("n", "m", "adjacency", "labels")
@@ -54,23 +57,28 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Iterable[int] | None = None,
     ):
+        if type(n) is not int:  # a bool count would pass as 0 or 1
+            raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})")
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         try:
-            if type(n) is not int:
-                raise TypeError  # a bool count would pass as 0 or 1
-            if n < 0:
-                raise ValueError("vertex count must be nonnegative")
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-                if not (type(u) is int and type(v) is int):
-                    raise TypeError  # a float, a bool or another int subclass
-                if u != v:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            _normalise(adj)
+            edges = iter(edges)
         except TypeError:
-            raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})") from None
+            raise ValueError(f"edges must be an iterable of (u, v) pairs, got {edges!r}") from None
+        adj: list = [[] for _ in range(n)]
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edges must be an iterable of (u, v) pairs, got item {edge!r}") from None
+            if not (type(u) is int and type(v) is int):  # a float, a bool or another int subclass
+                raise ValueError(f"edge endpoints must be ints, got ({u!r}, {v!r})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u != v:
+                adj[u].append(v)
+                adj[v].append(u)
+        _normalise(adj)
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self.adjacency = adj
@@ -87,10 +95,11 @@ class Graph:
         self.labels = labels
 
     @classmethod
-    def _from_adjacency(cls, adj: list[list[int]], labels: tuple | None = None) -> "Graph":
-        """Graph on ``len(adj)`` vertices that takes ``adj`` as its adjacency
-        and ``labels`` (a tuple of ``len(adj)`` distinct ids, or ``None``) as
-        they are, unchecked; the caller guarantees the class invariant."""
+    def _from_adjacency(cls, adj: list[tuple[int, ...]], labels: tuple | None = None) -> "Graph":
+        """Graph on ``len(adj)`` vertices that takes ``adj``, a list of
+        neighbor tuples, as its adjacency and ``labels`` (a tuple of
+        ``len(adj)`` distinct ids, or ``None``) as they are, unchecked; the
+        caller guarantees the class invariant."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.m = sum(map(len, adj)) // 2
@@ -170,17 +179,18 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def _normalise(adj: list[list[int]]) -> None:
-    """Sort every adjacency list in place, then rebuild each list that holds
-    a repeated neighbor without it.
+def _normalise(adj: list) -> None:
+    """Replace every adjacency list of ``adj`` by a sorted tuple of its
+    distinct neighbors: the list is sorted in place and frozen as it is, or
+    rebuilt from its set when it holds a repeated neighbor.
 
     This is the one normalisation rule of :class:`Graph`; its callers drop
-    self-loops and admit only int ids as they fill the lists.
+    self-loops and admit only int ids as they fill the lists.  The tuple
+    holds the list's own int objects, so shared vertex ids stay shared.
     """
     for v, lst in enumerate(adj):
         lst.sort()
-        if len(set(lst)) < len(lst):
-            adj[v] = sorted(set(lst))
+        adj[v] = tuple(sorted(set(lst))) if len(set(lst)) < len(lst) else tuple(lst)
 
 
 def _read_text(source: str | Path | bytes | IO) -> str:

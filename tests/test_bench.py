@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import re
+from unittest import mock
 
 import pytest
 
@@ -10,10 +11,12 @@ from targetset import (
     BenchConfig,
     GraphSource,
     derive_seed,
+    load_edge_list,
     run_bench,
     run_verify,
     write_csv,
 )
+from targetset import generators
 
 
 def _csv(cfg):
@@ -201,6 +204,32 @@ def test_config_validation():
     for instances in (2.5, True):
         with pytest.raises(ValueError, match="instances must be an int"):
             run_verify("tree", n_max=5, instances=instances)
+
+
+def test_edge_list_source_is_loaded_once_for_all_repetitions(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    src = GraphSource.parse(f"edges:{path}")
+    cfg = BenchConfig(sources=(src,), policy="random", algorithms=("tss", "greedy"),
+                      seed=7, repetitions=3)
+    with mock.patch.object(generators, "load_edge_list", wraps=load_edge_list) as load:
+        rows = run_bench(cfg)
+    assert load.call_count == 1
+    # each repetition still reports its own seed and draws its own thresholds
+    seeds = [derive_seed(7, "graph", src.name, rep) for rep in range(3)]
+    assert [row.seed for row in rows] == [s for s in seeds for _ in range(2)]
+    assert all(not row.error for row in rows)
+
+
+@pytest.mark.parametrize("rows, stream, message", [
+    ([], 5, "^expected a writable stream, got 5$"),
+    (5, io.StringIO(), "^rows must be a sequence of BenchRows, got 5$"),
+    ([5], io.StringIO(), r"^rows must be a sequence of BenchRows, got \[5\]$"),
+], ids=["stream-int", "rows-int", "row-int"])
+def test_write_csv_rejects_bad_arguments(rows, stream, message):
+    with pytest.raises(ValueError, match=message):
+        write_csv(rows, stream)
+    assert not isinstance(stream, io.StringIO) or stream.getvalue() == ""
 
 
 def test_derive_seed_is_stable_and_sensitive():

@@ -245,6 +245,11 @@ def test_out_of_range_solver_output_exits_three(capsys, monkeypatch):
              "--policy", "random", "--alg", "tss,greedy,exact", "--reps", "3"),
             "1fb6e6bc366c63b57a4a0ebe6ad19ae5672bac81b2775d5ac24fa6c412b1cf86",
         ),
+        (  # sources built once and shared by every repetition
+            ("--seed", "4", "bench", "--gen", "star:30", "--gen", "cycle:20", "--gen", "clique:8",
+             "--policy", "random", "--alg", "tss,greedy", "--reps", "3"),
+            "03b9a182a3678ed77dadb2486016d1c967a25253a20b678239d28b17bf8eab4c",
+        ),
         (
             ("--seed", "5", "solve", "--gen", "gnp:300:0.02", "--policy", "random", "--trace"),
             "bdcdb287faf2cfbe15c26032fc8f80b9bd16fc2439c2eb2b124bc05961ca54c2",
@@ -258,7 +263,8 @@ def test_out_of_range_solver_output_exits_three(capsys, monkeypatch):
             "2e674bb3fbe313179c035a020a1da7013deb79eaaf2d90d793b31cdabeac631b",
         ),
     ],
-    ids=["bench-const-sweep", "bench-random-reps", "solve-trace", "bound-gnp", "verify-tree"],
+    ids=["bench-const-sweep", "bench-random-reps", "bench-seedless-reps", "solve-trace",
+         "bound-gnp", "verify-tree"],
 )
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -87,6 +87,16 @@ def test_format_trace_uses_original_ids():
     assert format_trace(trace, g).splitlines()[0] == "0: 5"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: format_trace(5), "^expected an ActivationTrace, got 5$"),
+    (lambda: format_trace(run_activation(path_graph(3), [1, 1, 1], {0}), 5),
+     "^expected a Graph, got 5$"),
+], ids=["trace-int", "graph-int"])
+def test_format_trace_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_rounds_partition_the_active_set_and_converge_fast(seed):

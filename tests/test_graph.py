@@ -14,9 +14,11 @@ from targetset import (
     GraphSource,
     bound_new,
     check_thresholds,
+    clique_graph,
     clique_optimum,
     connected_components,
     constant_capped,
+    cycle_graph,
     degree_thresholds,
     gnp,
     greedy_tss,
@@ -25,7 +27,9 @@ from targetset import (
     load_edge_list,
     load_thresholds,
     random_in_degree,
+    random_tree,
     run_activation,
+    star_graph,
     tss_solve,
     write_edge_list,
 )
@@ -38,7 +42,7 @@ def test_construction_normalizes_duplicates_and_loops():
     g = Graph(3, [(0, 1), (1, 0), (0, 0), (1, 2), (1, 2)])
     assert g.n == 3
     assert g.m == 2
-    assert g.adjacency[1] == [0, 2]
+    assert g.adjacency[1] == (0, 2)
 
 
 def test_edge_out_of_range_rejected():
@@ -68,6 +72,31 @@ def test_edge_out_of_range_rejected():
     ):
         with pytest.raises(ValueError, match="must be ints"):
             Graph(n, edges)
+
+
+@pytest.mark.parametrize("edges, item", [
+    (5, "5"), ([5], "item 5"), ([(0, 1, 2)], r"item \(0, 1, 2\)"),
+], ids=["not-iterable", "not-a-pair", "triple"])
+def test_edges_that_are_not_pairs_rejected(edges, item):
+    with pytest.raises(ValueError, match=rf"^edges must be an iterable of \(u, v\) pairs, got {item}$"):
+        Graph(3, edges)
+
+
+# Every builder hands Graph tuples, so an adjacency cannot be mutated.
+@pytest.mark.parametrize("build", [
+    lambda: Graph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (0, 3)]),
+    lambda: gnp(50, 0.2, seed=3),
+    lambda: load_edge_list(io.StringIO("0 1\n1 2\n2 0\n0 1\n3 3\n")),
+    lambda: random_tree(20, seed=4),
+    lambda: cycle_graph(5),
+    lambda: clique_graph(4),
+    lambda: star_graph(6),
+], ids=["edges", "gnp", "load", "tree", "cycle", "clique", "star"])
+def test_every_builder_freezes_the_adjacency(build):
+    g = build()
+    assert all(type(nbrs) is tuple for nbrs in g.adjacency)
+    with pytest.raises(AttributeError):
+        g.adjacency[0].append(1)
 
 
 def test_repeated_labels_rejected():
@@ -131,7 +160,7 @@ def test_degree_sum_is_twice_edge_count():
 def test_load_edge_list_path_on_three_vertices():
     g = load_edge_list(io.StringIO("0 1\n1 2"))
     assert (g.n, g.m) == (3, 2)
-    assert g.adjacency[1] == [0, 2]
+    assert g.adjacency[1] == (0, 2)
 
 
 def test_load_edge_list_dedups_and_drops_self_loops():
@@ -221,7 +250,7 @@ def test_random_instances_keep_graph_invariants(seed, raw_edges):
                 assert v in g.adjacency[u]
                 seen.add((min(u, v), max(u, v)))
             nbrs = g.adjacency[v]
-            assert nbrs == sorted(set(nbrs))
+            assert nbrs == tuple(sorted(set(nbrs)))
         assert len(seen) == g.m
 
 
