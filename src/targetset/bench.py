@@ -140,10 +140,14 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
             if g is None or src.kind in _SEEDED_KINDS:
                 g = src.with_seed(gseed).build()
-            for t_param in cfg.sweep or (None,):
-                policy = cfg.policy if t_param is None else f"const:{t_param}"
-                tseed = derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)
-                t = assign_thresholds(g, policy, tseed)
+            # Every threshold list of this graph is drawn first and held until
+            # its instances are solved, so no two instances of one graph share
+            # an object id (a freed list's id can come back on a later list).
+            assignments = [(t_param, assign_thresholds(
+                g, cfg.policy if t_param is None else f"const:{t_param}",
+                derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)))
+                for t_param in cfg.sweep or (None,)]
+            for t_param, t in assignments:
                 for alg in cfg.algorithms:
                     instance = dict(graph_name=src.name, n=g.n, m=g.m, t_param=t_param,
                                     algorithm=alg, seed=gseed)

@@ -37,14 +37,15 @@ most residual degrees of a sparse graph lie below it, its 2145 entries do
 not grow with the graph or the thresholds, and a table up to the largest
 degree of a heavy-tailed graph costs about as much to build as it saves.
 
-The ranked heap is lazy; ``_eliminate`` documents its entries and re-keys.
+The ranked heap is lazy; ``_eliminate`` documents its entries, re-keys
+and rebuilds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 from .graph import Graph, _check_graph
@@ -52,6 +53,7 @@ from .thresholds import check_thresholds
 
 
 TABLE_DEGREE = 64  # largest residual degree in _eliminate's key table
+DRAIN_FLOOR = 1024  # fewest dead ranked entries popped before a rebuild
 
 
 class Case(IntEnum):
@@ -110,6 +112,16 @@ def _eliminate(
     never rises, updates push nothing and each alive vertex keeps exactly
     one entry.
 
+    Entries of dead vertices pile up, most from vertices that left by
+    ACTIVATED, and a pop may have to drain many of them: on one
+    G(160000, 10/n) instance one of the last ranked pops drained 28180.
+    Once more than ``max(n >> 6, DRAIN_FLOOR)`` of them have been popped
+    since the last rebuild, the heap is rebuilt from the current key of
+    every alive vertex with k >= 1.  That keeps the invariant, so the
+    order is the same; the rebuild scans all n vertices, which costs about
+    as much as a few thousand pops, and each rebuild follows at least
+    n / 64 pops of pushed entries, so the total stays O(m log n).
+
     The loop binds the ``Case`` members to locals once: on CPython 3.11 a
     read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
     for a local, and each removal would make three or four.  For the same
@@ -141,6 +153,8 @@ def _eliminate(
             dv = delta[v]
             heappush(ranked, -(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)))
 
+    dead = 0  # entries of dead vertices popped since the last rebuild
+    drain = max(n >> 6, DRAIN_FLOOR)
     for _ in range(n):
         if ready:
             v = heappop(ready)
@@ -161,6 +175,14 @@ def _eliminate(
                     if current == packed:
                         break
                     heappush(ranked, -current)
+                else:
+                    dead += 1
+                    if dead > drain:
+                        ranked.clear()  # the new entries reuse the old ones' memory
+                        ranked += [-(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v))
+                                   for v, kv, dv in zip(range(n), k, delta) if kv > 0]
+                        heapify(ranked)
+                        dead = 0
             if greedy or kv > dv:
                 case = SEEDED
                 target.append(v)

@@ -10,13 +10,14 @@ from targetset import (
     CSV_HEADER,
     BenchConfig,
     GraphSource,
+    bound_new,
     derive_seed,
     load_edge_list,
     run_bench,
     run_verify,
     write_csv,
 )
-from targetset import generators
+from targetset import bench, generators
 
 
 def _csv(cfg):
@@ -219,6 +220,24 @@ def test_edge_list_source_is_loaded_once_for_all_repetitions(tmp_path):
     seeds = [derive_seed(7, "graph", src.name, rep) for rep in range(3)]
     assert [row.seed for row in rows] == [s for s in seeds for _ in range(2)]
     assert all(not row.error for row in rows)
+
+
+def test_instances_of_one_graph_are_alive_together():
+    # Every threshold list of a graph stays alive until its instances are
+    # bounded, so the (graph, thresholds) objects of one graph have distinct
+    # ids and an id-keyed tracer counts one instance per sweep value.
+    pairs = []
+
+    def watched(g, t):
+        pairs.append((id(g), id(t)))
+        return bound_new(g, t)
+
+    cfg = BenchConfig(sources=(GraphSource.parse("gnp:300:0.03"),), sweep=tuple(range(1, 11)),
+                      algorithms=("tss", "greedy"), seed=3)
+    with mock.patch.object(bench, "bound_new", watched):
+        rows = run_bench(cfg)
+    assert len(rows) == len(pairs) == 20
+    assert len(set(pairs)) == 10
 
 
 @pytest.mark.parametrize("rows, stream, message", [

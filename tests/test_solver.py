@@ -187,6 +187,27 @@ def test_key_table_boundary_matches_paper_pseudocode(seed):
     assert huge in report.target_set
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_ranked_heap_rebuild_keeps_the_order(monkeypatch, seed):
+    # Without the floor a rebuild follows every n >> 6 dead entries popped,
+    # so these small instances rebuild the ranked heap from the current
+    # keys several times; the order must be the lazy heap's.
+    import targetset.solver as solver
+
+    heapify = solver.heapify
+    rebuilds = []
+
+    def watched(heap):
+        rebuilds.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(solver, "DRAIN_FLOOR", 0)
+    monkeypatch.setattr(solver, "heapify", watched)
+    g, t, _ = hub_instance(seed)
+    assert tss_solve(g, t).elimination_order == paper_elimination_order(g, t)
+    assert rebuilds
+
+
 def _exact_rank(k, d):
     # The paper's order on (k, delta): the seed tier (k > delta) above every
     # ratio, then the ratio k / (delta (delta + 1)), then the larger k.
