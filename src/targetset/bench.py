@@ -132,7 +132,10 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     edge-list file, a cycle, a clique or a star) is built once and its graph
     shared by every repetition, which a ``Graph`` allows because it cannot
     be mutated; the ``seed`` column still names each repetition's seed.
+    Anything but a ``BenchConfig`` raises ``ValueError``.
     """
+    if not isinstance(cfg, BenchConfig):
+        raise ValueError(f"expected a BenchConfig, got {cfg!r}")
     rows = []
     for src in cfg.sources:
         g = None

@@ -43,10 +43,10 @@ and rebuilds.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heapify, heappop, heappush
-from typing import Callable, Sequence
 
 from .graph import Graph, _check_graph
 from .thresholds import check_thresholds
@@ -64,13 +64,57 @@ class Case(IntEnum):
     DISCARDED = 3  # ranked out by the selection ratio
 
 
+class _EliminationOrder(Sequence):
+    """Read-only ``(vertex, case)`` pairs over the two lists ``_eliminate``
+    fills; a pair is built only when it is read.
+
+    It reads like the list of pairs it stands for: ``len``, int and slice
+    indexing (a slice is a list of pairs), iteration, ``==`` against such a
+    list on either side or against another order, and the list's ``repr``.
+    """
+
+    def __init__(self, vertices: list[int], cases: list[Case]):
+        self._vertices = vertices
+        self._cases = cases
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self._vertices[i], self._cases[i]))
+        return self._vertices[i], self._cases[i]
+
+    def __iter__(self):
+        return zip(self._vertices, self._cases)
+
+    def __eq__(self, other):
+        if isinstance(other, _EliminationOrder):
+            return self._vertices == other._vertices and self._cases == other._cases
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class SolverReport:
     """Solve outcome: the target set plus elimination bookkeeping; plain data,
-    the CLI formats it."""
+    the CLI formats it.
+
+    ``elimination_order`` reads as the list of ``(vertex, case)`` pairs in
+    removal order.  A solve returns it as a read-only view over two flat
+    lists, vertices and cases, and builds each pair only when it is read:
+    no caller in the package reads the order, and a pair that holds a
+    ``Case`` member is a tuple the cyclic GC tracks and cannot untrack, so
+    one stored pair per removal would set off a young collection about
+    every 700 removals.
+    """
 
     target_set: tuple[int, ...]
-    elimination_order: list[tuple[int, Case]]
+    elimination_order: Sequence[tuple[int, Case]]
     case_counts: tuple[int, int, int]
 
     @property
@@ -127,6 +171,12 @@ def _eliminate(
     for a local, and each removal would make three or four.  For the same
     reason it counts only the ACTIVATED removals; the SEEDED count is the
     size of the target set and the rest were DISCARDED.
+
+    The order goes into two flat lists, ``order`` (vertices) and ``cases``,
+    two pointer appends per removal and no new object; the report pairs
+    them up only when read (see ``SolverReport``).  A ``(v, case)`` tuple
+    per removal would be a GC-tracked allocation: on G(100000, 10/n) those
+    tuples set off about 140 collections per solve, and the two lists none.
     """
     check_thresholds(g, t)
     n = g.n
@@ -134,7 +184,8 @@ def _eliminate(
     delta = g.degrees
     k = list(t)
     target: list[int] = []
-    order: list[tuple[int, Case]] = []
+    order: list[int] = []
+    cases: list[Case] = []
     activated = 0
     ACTIVATED, SEEDED, DISCARDED = Case.ACTIVATED, Case.SEEDED, Case.DISCARDED
 
@@ -190,7 +241,8 @@ def _eliminate(
                 case = DISCARDED
 
         k[v] = -1  # removed; alive vertices have k >= 0
-        order.append((v, case))
+        order.append(v)
+        cases.append(case)
         # ACTIVATED and SEEDED drop each alive neighbor's k by one; DISCARDED
         # leaves thresholds untouched.  Every alive neighbor loses a degree.
         drops = case is not DISCARDED
@@ -222,7 +274,7 @@ def _eliminate(
 
     return SolverReport(
         target_set=tuple(sorted(target)),
-        elimination_order=order,
+        elimination_order=_EliminationOrder(order, cases),
         case_counts=(activated, len(target), n - activated - len(target)),
     )
 

@@ -29,6 +29,7 @@ from targetset import (
     random_in_degree,
     random_tree,
     run_activation,
+    run_bench,
     star_graph,
     tss_solve,
     write_edge_list,
@@ -121,9 +122,11 @@ def test_repeated_labels_rejected():
     (lambda: solve(path_graph(3), [1, 1, 1], "tss", exact_cap=-1), "exact_cap must be >= 0"),
     (lambda: solve(path_graph(3), [1, 1, 1], "greedy", exact_cap=-1), "exact_cap must be >= 0"),
     (lambda: solve(path_graph(3), [1, 1, 1], "tss", exact_cap="x"), "exact_cap must be an int"),
+    (lambda: run_bench("gnp:10:0.5"), "^expected a BenchConfig, got 'gnp:10:0.5'$"),
+    (lambda: run_bench(None), "^expected a BenchConfig, got None$"),
 ], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "labels-int",
         "labels-unhashable", "clique-int", "sweep-int", "solve-cap-negative",
-        "greedy-cap-negative", "solve-cap-str"])
+        "greedy-cap-negative", "solve-cap-str", "bench-str", "bench-none"])
 def test_bad_inputs_raise_value_error_at_their_owner(call, message):
     with pytest.raises(ValueError, match=message):
         call()

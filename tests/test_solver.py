@@ -1,3 +1,5 @@
+import gc
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,8 +12,10 @@ from targetset import (
     Case,
     Graph,
     clique_graph,
+    gnp,
     greedy_tss,
     is_target_set,
+    random_in_degree,
     star_graph,
     tss_solve,
 )
@@ -93,6 +97,60 @@ def test_zero_thresholds_need_no_seeds():
 def test_solver_is_deterministic():
     g, t = random_instance(777)
     assert tss_solve(g, t) == tss_solve(g, t)
+
+
+@pytest.mark.parametrize("solver", [tss_solve, greedy_tss], ids=lambda f: f.__name__)
+def test_elimination_order_reads_as_a_list_of_pairs(solver):
+    g, t = random_instance(777)
+    report = solver(g, t)
+    order = report.elimination_order
+    pairs = list(order)
+    assert len(pairs) == len(order) == g.n
+    assert all(type(v) is int and type(case) is Case for v, case in pairs)
+    assert order == pairs and pairs == order and not order != pairs
+    assert order != tuple(pairs) and tuple(pairs) != order
+    v, case = pairs[-1]
+    assert order != pairs[:-1] and order != pairs[:-1] + [(v + 1, case)]
+    assert order[0] == pairs[0] and order[-1] == pairs[-1]
+    assert order[2:7] == pairs[2:7] and order[::-3] == pairs[::-3]
+    assert type(order[1:3]) is list
+    assert list(order) == pairs  # iterating again reads the same pairs
+    with pytest.raises(IndexError):
+        order[g.n]
+    assert repr(order) == repr(pairs)
+    assert order == solver(g, t).elimination_order and report == solver(g, t)
+    other = tss_solve if solver is greedy_tss else greedy_tss
+    assert order != other(g, t).elimination_order
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(report, protocol))
+        assert copy == report and copy.elimination_order == pairs
+
+
+# A solve allocates no object the cyclic GC tracks per removal, so it sets off
+# no collection; a (vertex, case) tuple per removal would set off one about
+# every 700 removals.  The count follows the allocations alone, not the clock.
+@pytest.mark.parametrize("solver", [tss_solve, greedy_tss], ids=lambda f: f.__name__)
+def test_solve_sets_off_no_gc_collection(solver):
+    n = 20_000
+    g = gnp(n, 10 / n, seed=5)
+    t = random_in_degree(g, seed=6)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        solver(g, t)
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert collections == []
 
 
 @pytest.mark.parametrize("solver", [tss_solve, greedy_tss], ids=lambda f: f.__name__)
