@@ -9,7 +9,7 @@ from .bench import BenchConfig, run_bench, run_verify, write_csv
 from .bounds import check_bound_dominance
 from .diffusion import format_trace, run_activation
 from .generators import GraphSource
-from .graph import Graph, _check_int, write_edge_list
+from .graph import Graph, write_edge_list
 from .reference import ALGORITHMS, EXACT, EXACT_CAP, TSS, solve
 from .thresholds import assign_thresholds
 
@@ -59,7 +59,6 @@ def _build_thresholds(args, g: Graph) -> list[int]:
 
 
 def _cmd_solve(args) -> int:
-    _check_int("exact_cap", args.exact_cap, 0)
     g = _build_graph(args)
     t = _build_thresholds(args, g)
     result, solution, seconds = solve(g, t, args.alg, args.exact_cap)

@@ -9,7 +9,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from numbers import Real
 
-from .graph import Graph, _check_int, _rng, load_edge_list
+from .graph import Graph, _check_count, _rng, load_edge_list
 
 
 def gnp(n: int, p: float, seed: int | None = None) -> Graph:
@@ -46,7 +46,7 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     that ``int(skip)`` would truncate it to, without a call to the ``int``
     type.
     """
-    _check_int("gnp n", n, 1)
+    _check_count("gnp n", n, 1)
     if not isinstance(p, Real):
         raise ValueError(f"gnp needs a real p, got {p!r}")
     if not 0.0 < p < 1.0:
@@ -89,7 +89,7 @@ def _float_ceiling(x: int) -> float:
 def random_tree(n: int, seed: int | None = None) -> Graph:
     """Uniform random labeled tree on n vertices, decoded from a random
     Prufer sequence."""
-    _check_int("tree n", n, 1)
+    _check_count("tree n", n, 1)
     rng = _rng(seed)
     if n == 1:
         return Graph(1)
@@ -113,18 +113,18 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_int("cycle n", n, 3)
+    _check_count("cycle n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def clique_graph(n: int) -> Graph:
-    _check_int("clique n", n, 1)
+    _check_count("clique n", n, 1)
     return Graph(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices; vertex 0 is the center."""
-    _check_int("star n", n, 2)
+    _check_count("star n", n, 2)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 

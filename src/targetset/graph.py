@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from itertools import count, filterfalse
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -30,13 +31,14 @@ class Graph:
     adjacency list is sorted, a list that then holds a repeated neighbor
     (a duplicate edge, in either orientation) is rebuilt without it, and
     each list is frozen into a tuple (``_normalise``, which
-    :func:`load_edge_list` applies too).  An ``edges`` argument that is not
-    an iterable of pairs, an endpoint whose type is not exactly int (a bool,
-    a float or an ``IntEnum``), labels that are not an iterable of hashable
-    ids and a repeated label raise ``ValueError``.  ``adjacency[v]`` is the
-    sorted neighbor tuple of ``v``, exposed directly for speed; a tuple
-    holds its items inline, so reading a neighbor costs one memory access
-    fewer than through a list, and it cannot be mutated.
+    :func:`load_edge_list` applies too).  A vertex count above
+    ``sys.maxsize``, an ``edges`` argument that is not an iterable of pairs,
+    an endpoint whose type is not exactly int (a bool, a float or an
+    ``IntEnum``), labels that are not an iterable of hashable ids and a
+    repeated label raise ``ValueError``.  ``adjacency[v]`` is the sorted
+    neighbor tuple of ``v``, exposed directly for speed; a tuple holds its
+    items inline, so reading a neighbor costs one memory access fewer than
+    through a list, and it cannot be mutated.
 
     :meth:`_from_adjacency` wraps tuples that already hold this invariant
     without checking it: each tuple is strictly increasing, holds int ids of
@@ -61,6 +63,7 @@ class Graph:
             raise ValueError(f"vertex count and edge endpoints must be ints (n={n!r})")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        _check_count("vertex count", n, 0)
         try:
             edges = iter(edges)
         except TypeError:
@@ -135,6 +138,13 @@ def _check_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_count(name: str, n, least: int) -> None:
+    """``_check_int`` for a vertex count, which must also be <= ``sys.maxsize``."""
+    _check_int(name, n, least)
+    if n > sys.maxsize:
+        raise ValueError(f"{name} must be at most sys.maxsize ({sys.maxsize}), got {n}")
 
 
 def _check_graph(g) -> None:

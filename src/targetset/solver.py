@@ -37,8 +37,8 @@ most residual degrees of a sparse graph lie below it, its 2145 entries do
 not grow with the graph or the thresholds, and a table up to the largest
 degree of a heavy-tailed graph costs about as much to build as it saves.
 
-The ranked heap is lazy; ``_eliminate`` documents its entries, re-keys
-and rebuilds.
+The ranked heap is lazy and built in one place; ``_eliminate`` documents
+its entries, re-keys and builds.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .thresholds import check_thresholds
 
 
 TABLE_DEGREE = 64  # largest residual degree in _eliminate's key table
-DRAIN_FLOOR = 1024  # fewest dead ranked entries popped before a rebuild
+DRAIN_FLOOR = 1024  # fewest dead ranked entries popped before a heap rebuild
 
 
 class Case(IntEnum):
@@ -135,13 +135,13 @@ def _eliminate(
     when k > delta, DISCARDED otherwise.  Keys are packed ints ending in
     ``* n + v``, so they are distinct and name their vertex.
 
-    The ranked heap is lazy, and one invariant covers both solvers: every
-    alive ranked vertex holds at least one entry at or above its current
-    key.  The first popped entry that equals its vertex's current key is
-    then the largest current key.  A popped entry whose vertex died
-    (k = -1) is dropped; one whose vertex is alive under another key is
-    dropped and the current key pushed back.  So a neighbor update need
-    push only when the key can have risen.
+    The ranked heap is lazy, and one invariant covers both solvers: once
+    the heap is built, every alive ranked vertex holds at least one entry
+    at or above its current key.  The first popped entry that equals its
+    vertex's current key is then the largest current key.  A popped entry
+    whose vertex died (k = -1) is dropped; one whose vertex is alive under
+    another key is dropped and the current key pushed back.  So a neighbor
+    update need push only when the key can have risen.
 
     ``greedy=False`` goes with ``tss_solve``'s key (seed tier, ratio, k).
     After a DISCARDED removal only delta falls, which raises the key, so
@@ -156,27 +156,26 @@ def _eliminate(
     never rises, updates push nothing and each alive vertex keeps exactly
     one entry.
 
-    Entries of dead vertices pile up, most from vertices that left by
-    ACTIVATED, and a pop may have to drain many of them: on one
-    G(160000, 10/n) instance one of the last ranked pops drained 28180.
-    Once more than ``max(n >> 6, DRAIN_FLOOR)`` of them have been popped
-    since the last rebuild, the heap is rebuilt from the current key of
-    every alive vertex with k >= 1.  That keeps the invariant, so the
-    order is the same; the rebuild scans all n vertices, which costs about
-    as much as a few thousand pops, and each rebuild follows at least
-    n / 64 pops of pushed entries, so the total stays O(m log n).
+    One block at the head of the ranked pop loop builds the heap from the
+    current key of every alive vertex with k >= 1, so the invariant holds.
+    It runs once more than ``max(n >> 6, DRAIN_FLOOR)`` dead entries have
+    been popped since the last build; the count starts above that, so the
+    first ranked pop builds the heap (dropping earlier pushes) and a solve
+    of ACTIVATED removals alone never does.  Later builds follow long
+    drains (one of the last ranked pops of a G(160000, 10/n) solve drained
+    28180); each costs about a few thousand pops and follows at least
+    n / 64 pops, so the total stays O(m log n).
 
     The loop binds the ``Case`` members to locals once: on CPython 3.11 a
     read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
-    for a local, and each removal would make three or four.  For the same
-    reason it counts only the ACTIVATED removals; the SEEDED count is the
-    size of the target set and the rest were DISCARDED.
+    for a local, and each removal would make three or four.
 
     The order goes into two flat lists, ``order`` (vertices) and ``cases``,
     two pointer appends per removal and no new object; the report pairs
-    them up only when read (see ``SolverReport``).  A ``(v, case)`` tuple
-    per removal would be a GC-tracked allocation: on G(100000, 10/n) those
-    tuples set off about 140 collections per solve, and the two lists none.
+    them up only when read (see ``SolverReport``), and the case counts
+    come from ``cases``.  A ``(v, case)`` tuple per removal would be a
+    GC-tracked allocation: on G(100000, 10/n) those tuples set off about
+    140 collections per solve, and the two lists none.
     """
     check_thresholds(g, t)
     n = g.n
@@ -186,7 +185,6 @@ def _eliminate(
     target: list[int] = []
     order: list[int] = []
     cases: list[Case] = []
-    activated = 0
     ACTIVATED, SEEDED, DISCARDED = Case.ACTIVATED, Case.SEEDED, Case.DISCARDED
 
     ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
@@ -198,25 +196,23 @@ def _eliminate(
         for dv in range(min(max(delta, default=0), TABLE_DEGREE) + 1)
     )
     top = len(rows)
-    for v in range(n):
-        kv = k[v]
-        if kv:
-            dv = delta[v]
-            heappush(ranked, -(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v)))
-
-    dead = 0  # entries of dead vertices popped since the last rebuild
     drain = max(n >> 6, DRAIN_FLOOR)
+    dead = drain + 1  # dead entries popped since the last build; over drain: build
     for _ in range(n):
         if ready:
             v = heappop(ready)
             case = ACTIVATED
-            activated += 1
         else:
-            # The ready queue is empty, so every alive vertex has k >= 1 and
-            # an entry in ranked at or above its key.  An entry is stale once
-            # its vertex died (k = -1) or its key changed; an alive vertex's
-            # current key goes back in.
+            # Every alive vertex has k >= 1 (the ready queue is empty) and,
+            # once ranked is built, an entry there at or above its key.  A
+            # dead vertex's entry is dropped, a stale key's is re-keyed.
             while True:
+                if dead > drain:
+                    ranked.clear()  # the new entries reuse the old ones' memory
+                    ranked = [-(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v))
+                              for v, kv, dv in zip(range(n), k, delta) if kv > 0]
+                    heapify(ranked)
+                    dead = 0
                 packed = -heappop(ranked)
                 v = packed % n
                 kv = k[v]
@@ -228,12 +224,6 @@ def _eliminate(
                     heappush(ranked, -current)
                 else:
                     dead += 1
-                    if dead > drain:
-                        ranked.clear()  # the new entries reuse the old ones' memory
-                        ranked += [-(rows[dv][kv] + v if kv <= dv < top else key(kv, dv, v))
-                                   for v, kv, dv in zip(range(n), k, delta) if kv > 0]
-                        heapify(ranked)
-                        dead = 0
             if greedy or kv > dv:
                 case = SEEDED
                 target.append(v)
@@ -275,7 +265,7 @@ def _eliminate(
     return SolverReport(
         target_set=tuple(sorted(target)),
         elimination_order=_EliminationOrder(order, cases),
-        case_counts=(activated, len(target), n - activated - len(target)),
+        case_counts=(cases.count(ACTIVATED), len(target), cases.count(DISCARDED)),
     )
 
 

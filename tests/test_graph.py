@@ -124,9 +124,17 @@ def test_repeated_labels_rejected():
     (lambda: solve(path_graph(3), [1, 1, 1], "tss", exact_cap="x"), "exact_cap must be an int"),
     (lambda: run_bench("gnp:10:0.5"), "^expected a BenchConfig, got 'gnp:10:0.5'$"),
     (lambda: run_bench(None), "^expected a BenchConfig, got None$"),
+    # A count no list can hold fails before anything is allocated.
+    (lambda: Graph(10**30), "^vertex count must be at most sys.maxsize"),
+    (lambda: gnp(10**30, 0.5), "^gnp n must be at most sys.maxsize"),
+    (lambda: random_tree(10**30), "^tree n must be at most sys.maxsize"),
+    (lambda: cycle_graph(10**30), "^cycle n must be at most sys.maxsize"),
+    (lambda: clique_graph(10**30), "^clique n must be at most sys.maxsize"),
+    (lambda: star_graph(10**30), "^star n must be at most sys.maxsize"),
 ], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "labels-int",
         "labels-unhashable", "clique-int", "sweep-int", "solve-cap-negative",
-        "greedy-cap-negative", "solve-cap-str", "bench-str", "bench-none"])
+        "greedy-cap-negative", "solve-cap-str", "bench-str", "bench-none",
+        "graph-huge", "gnp-huge", "tree-huge", "cycle-huge", "clique-huge", "star-huge"])
 def test_bad_inputs_raise_value_error_at_their_owner(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -169,14 +169,20 @@ def test_greedy_heaps_never_exceed_n_entries(monkeypatch):
     vertex and re-keys a stale one when it is popped; no heap outgrows n."""
     import targetset.solver as solver
 
-    push = solver.heappush
+    push, heapify = solver.heappush, solver.heapify
     pushes = []
+    builds = []  # the ranked heap is the list that heapify receives
 
     def watched(heap, item):
         push(heap, item)
         pushes.append((heap, len(heap), item))
 
+    def watched_heapify(heap):
+        heapify(heap)
+        builds.append((heap, list(heap)))
+
     monkeypatch.setattr(solver, "heappush", watched)
+    monkeypatch.setattr(solver, "heapify", watched_heapify)
     g = star_of_stars(23)
     # Center and hubs need every neighbor; leaves alternate thresholds 1 and
     # 2, so a seeded hub sends half its leaves to the ready queue and leaves
@@ -185,13 +191,18 @@ def test_greedy_heaps_never_exceed_n_entries(monkeypatch):
     assert g.n == 279
     assert greedy_tss(g, t).elimination_order == greedy_reference_order(g, t)
     assert max(size for _, size, _ in pushes) <= g.n
-    ranked = [item for heap, _, item in pushes if heap is pushes[0][0]]
-    assert sum(-item % g.n == 0 for item in ranked) == 23  # center: 1 + 22 re-keys
+    assert len(builds) == 1 and len(builds[0][1]) <= g.n
+    ranked, built = builds[0]
+    assert sum(-item % g.n == 0 for item in built) == 1  # the center, once
+    rekeys = [item for heap, _, item in pushes if heap is ranked]
+    assert sum(-item % g.n == 0 for item in rekeys) == 22
     for seed in range(40):
         g, t = random_instance(seed)
         pushes.clear()
+        builds.clear()
         greedy_tss(g, t)
         assert max((size for _, size, _ in pushes), default=0) <= g.n
+        assert all(len(entries) <= g.n for _, entries in builds)
 
 
 @settings(max_examples=60, deadline=None)

@@ -87,11 +87,17 @@ def test_isolated_vertex_with_positive_threshold_is_seeded():
     assert 2 in report.target_set
 
 
-def test_zero_thresholds_need_no_seeds():
+def test_zero_thresholds_need_no_seeds(monkeypatch):
+    # Every removal is ACTIVATED, so no ranked pop builds the ranked heap.
+    import targetset.solver as solver
+
+    builds = []
+    monkeypatch.setattr(solver, "heapify", builds.append)
     g = path_graph(4)
     report = tss_solve(g, [0, 0, 0, 0])
     assert report.target_set == ()
     assert report.case_counts == (4, 0, 0)
+    assert builds == []
 
 
 def test_solver_is_deterministic():
@@ -263,7 +269,7 @@ def test_ranked_heap_rebuild_keeps_the_order(monkeypatch, seed):
     monkeypatch.setattr(solver, "heapify", watched)
     g, t, _ = hub_instance(seed)
     assert tss_solve(g, t).elimination_order == paper_elimination_order(g, t)
-    assert rebuilds
+    assert len(rebuilds) >= 2  # the first ranked pop's build and a drain's
 
 
 def _exact_rank(k, d):
@@ -287,12 +293,16 @@ def test_rise_rule_matches_exact_order():
 def test_falling_key_gets_no_push(monkeypatch):
     # The center (d = 4, t = 2) loses its t = 0 leaf first: (2, 4) -> (1, 3)
     # lowers its ratio from 1/10 to 1/12, so that update pushes nothing, and
-    # the next heap operation is a ranked pop.  Each later discard raises
-    # its key and pushes it once.
+    # the next heap operations are the build of the ranked heap and a ranked
+    # pop.  Each later discard raises its key and pushes it once.
     import targetset.solver as solver
 
-    push, pop = solver.heappush, solver.heappop
+    push, pop, heapify = solver.heappush, solver.heappop, solver.heapify
     events = []
+
+    def watched_heapify(heap):
+        heapify(heap)
+        events.append(("build", list(heap)))
 
     def watched_push(heap, item):
         push(heap, item)
@@ -305,6 +315,7 @@ def test_falling_key_gets_no_push(monkeypatch):
 
     monkeypatch.setattr(solver, "heappush", watched_push)
     monkeypatch.setattr(solver, "heappop", watched_pop)
+    monkeypatch.setattr(solver, "heapify", watched_heapify)
     g = star_graph(5)
     t = [2, 0, 1, 1, 1]
     report = tss_solve(g, t)
@@ -316,12 +327,14 @@ def test_falling_key_gets_no_push(monkeypatch):
         (2, Case.DISCARDED),
         (0, Case.SEEDED),
     ]
-    # The four initial ranked entries (every vertex but the leaf with t = 0)
-    # come first, then the ready pop of that leaf.
-    assert [-item % g.n for _, item in events[:4]] == [0, 2, 3, 4]
-    assert events[4] == ("pop", 1)  # the ready queue
-    assert events[5][0] == "pop" and events[5][1] < 0  # ranked, no push between
-    ranked_pushes = [item for kind, item in events[5:] if kind == "push" and item < 0]
+    # The ready pop of the leaf with t = 0 comes first, then one build of the
+    # ranked heap that holds every other vertex, then a ranked pop.
+    assert events[0] == ("pop", 1)  # the ready queue
+    assert events[1][0] == "build"
+    assert sorted(-item % g.n for item in events[1][1]) == [0, 2, 3, 4]
+    assert events[2][0] == "pop" and events[2][1] < 0  # ranked, no push between
+    assert [kind for kind, _ in events].count("build") == 1
+    ranked_pushes = [item for kind, item in events[2:] if kind == "push" and item < 0]
     assert [-item % g.n for item in ranked_pushes] == [0, 0, 0]
 
 
