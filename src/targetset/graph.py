@@ -2,16 +2,16 @@
 
 The whole library works on :class:`Graph`: an immutable simple undirected
 graph whose vertices are exactly ``0 .. n-1``, stored as sorted adjacency
-tuples.  Graphs loaded from edge-list files keep the original external ids in
+tuples.  Graphs loaded from edge-list files keep the original int ids in
 ``labels`` so results can be reported in the caller's id space.
 
 Edge-list and threshold files share one format, defined by the per-line
 reader ``_int_pairs``, which raises at the first bad line, and one text
 reader, ``_read_text``.  Threshold files are read through ``_int_pairs``.
-:func:`load_edge_list` reads its text one chunk of lines at a time in C-level
-passes, and fills the graph from each chunk before it reads the next, so the
-load holds one chunk's strings and ints, never the whole file's; it runs
-``_int_pairs`` only to name a bad line.
+:func:`load_edge_list` reads one chunk of lines at a time: one split of the
+lines joined by a ``"|"`` separator checks their shape, and one id-map
+lookup per token numbers the vertices.  It runs ``_int_pairs`` only to name
+a bad line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import os
 import random
 import sys
-from itertools import count, filterfalse
+from collections import defaultdict
+from itertools import count
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -34,20 +35,15 @@ class Graph:
     :func:`load_edge_list` applies too).  A vertex count above
     ``sys.maxsize``, an ``edges`` argument that is not an iterable of pairs,
     an endpoint whose type is not exactly int (a bool, a float or an
-    ``IntEnum``), labels that are not an iterable of hashable ids and a
-    repeated label raise ``ValueError``.  ``adjacency[v]`` is the sorted
-    neighbor tuple of ``v``, exposed directly for speed; a tuple holds its
-    items inline, so reading a neighbor costs one memory access fewer than
-    through a list, and it cannot be mutated.
+    ``IntEnum``), and labels that are not an iterable of distinct ids of
+    type exactly int raise ``ValueError``.  ``adjacency[v]`` is the sorted
+    neighbor tuple of ``v``, exposed directly for speed.
 
     :meth:`_from_adjacency` wraps tuples that already hold this invariant
     without checking it: each tuple is strictly increasing, holds int ids of
     other vertices only, and ``u`` is in ``adj[v]`` exactly when ``v`` is in
-    ``adj[u]``.  Its callers are ``generators.gnp``, whose skip sampler
-    emits such lists and freezes them in one pass at its end, and
-    :func:`load_edge_list`, which normalises the lists it fills.  Both bulk
-    builders fill the lists with one shared int object per vertex id
-    (``gnp`` from a list of ids, the loader from its id map), so an id costs
+    ``adj[u]``.  Its callers, ``generators.gnp`` and :func:`load_edge_list`,
+    fill the lists with one shared int object per vertex id, so an id costs
     one object however many tuples name it.
     """
 
@@ -91,6 +87,9 @@ class Graph:
                 distinct = len(set(labels))
             except TypeError:
                 raise ValueError("labels must be an iterable of hashable ids") from None
+            for label in labels:
+                if type(label) is not int:  # the only ids an edge-list file can hold
+                    raise ValueError(f"labels must be ints, got {label!r}")
             if len(labels) != n:
                 raise ValueError("labels length must equal the vertex count")
             if distinct < n:
@@ -222,11 +221,8 @@ def _check_path(path):
     return path
 
 
-# Characters per chunk of an edge-list load.  A chunk's line strings and
-# token ints are freed before the next chunk is read, so the load's
-# temporary data stays small beside the graph it fills: on a 250k-edge file
-# the tracemalloc peak of the load is 16.8 MiB for a graph that keeps
-# 11.0 MiB, where holding every line and token of the file made it 32.9 MiB.
+# Characters per chunk of an edge-list load; a chunk's strings and ints are
+# freed before the next is read, so they stay small beside the graph.
 _CHUNK_CHARS = 1 << 16
 
 
@@ -261,17 +257,17 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     The text is read one chunk at a time, each cut just after a ``"\\n"``
     (a ``"\\r"`` in a text without ``"\\n"``) about every ``_CHUNK_CHARS``
     characters, so the chunk's ``splitlines`` gives the lines that the whole
-    text's would.  A chunk goes through C-level passes: drop blank lines
-    (and comment lines, in a Python pass that runs only when the chunk holds
-    a ``#`` or ``%``), check that each line left splits into two tokens,
-    then split the joined lines and convert the tokens with
-    ``map(int, ...)``.  Its new ids join the id map in order of first
-    appearance, each mapped to one shared int vertex, its pairs are appended
-    to the adjacency, and its tokens are freed before the next chunk is
-    read.  The filled lists are normalised by the constructor's rule and
+    text's would.  A chunk's ``L`` data lines (blank and comment lines
+    dropped) are joined with ``" | "`` and split once: they all hold two
+    tokens exactly when that gives ``3 * L - 1`` tokens with a ``"|"`` in
+    every third slot.  The separators are deleted, the tokens converted with
+    ``map(int, ...)``, and each is read once from the id map, a
+    ``defaultdict`` that numbers a new id as the next vertex, one shared int
+    each.  The chunk's pairs fill the adjacency before the next chunk is
+    read; the filled lists are normalised by the constructor's rule and
     handed to :meth:`Graph._from_adjacency` unchecked.  No pass stops at a
-    bad line, so a failed chunk runs ``_int_pairs`` over the whole text to
-    raise the error that names the first one.
+    bad line (a ``"|"`` typed in the file fails ``int``), so a failed chunk
+    runs ``_int_pairs`` over the whole text to name the first one.
 
     Raises:
         ValueError: on a malformed line (message carries the line number) or
@@ -279,7 +275,7 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     """
     text = _read_text(source)
     eol = "\n" if "\n" in text else "\r"  # a text may end its lines with a lone "\r"
-    index: dict[int, int] = {}
+    index: dict[int, int] = defaultdict(count().__next__)  # a new id gets the next vertex
     adj: list[list[int]] = []
     try:
         lo = 0
@@ -290,19 +286,22 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
             data = list(filter(str.strip, chunk.splitlines()))
             if "#" in chunk or "%" in chunk:  # rare past a file's header
                 data = [line for line in data if line.lstrip()[0] not in "#%"]
-            if any(map((2).__ne__, map(len, map(str.split, data)))):
+            if not data:
+                continue
+            tokens = " | ".join(data).split()  # a "|" in every third slot iff all lines hold two tokens
+            if len(tokens) != 3 * len(data) - 1 or tokens[2::3].count("|") != len(data) - 1:
                 raise ValueError
-            values = list(map(int, " ".join(data).split()))
-            index.update(zip(dict.fromkeys(filterfalse(index.__contains__, values)), count(len(index))))
+            del tokens[2::3]
+            values = list(map(int, tokens))  # every token int before the first new vertex int
+            del tokens
+            pairs = iter(list(map(index.__getitem__, values)))
             adj += [[] for _ in range(len(index) - len(adj))]
-            pairs = map(index.__getitem__, values)
             for u, v in zip(pairs, pairs):
                 if u != v:
                     adj[u].append(v)
                     adj[v].append(u)
-            # Free this chunk's token ints before the next chunk makes its
-            # own: those then refill these slots, and the next chunk's new
-            # vertex ints go to fresh memory, side by side.
+            # Free the token ints for the next chunk's to refill, so that its
+            # new vertex ints go to fresh memory, side by side.
             del values, pairs
     except ValueError:
         for _ in _int_pairs(text.splitlines(), "two integer tokens"):

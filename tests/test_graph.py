@@ -116,6 +116,10 @@ def test_repeated_labels_rejected():
     (lambda: write_edge_list(path_graph(3), 5), "expected a file path or a stream"),
     (lambda: Graph(2, [], labels=5), "labels must be an iterable of hashable ids"),
     (lambda: Graph(2, [], labels=[[1], [2]]), "labels must be an iterable of hashable ids"),
+    # Only int labels order in a trace and read back from a written file.
+    (lambda: Graph(3, [(0, 1), (1, 2)], labels=["a", 1, None]), "^labels must be ints, got 'a'$"),
+    (lambda: Graph(2, [], labels=[0, True]), "^labels must be ints, got True$"),
+    (lambda: Graph(2, [], labels=[1, 1.0]), "^labels must be ints, got 1.0$"),
     (lambda: clique_optimum(5), "thresholds must be a sequence of ints"),
     (lambda: BenchConfig(sources=(GraphSource.parse("star:5"),), sweep=3),
      "sweep must be a sequence of ints"),
@@ -132,9 +136,9 @@ def test_repeated_labels_rejected():
     (lambda: clique_graph(10**30), "^clique n must be at most sys.maxsize"),
     (lambda: star_graph(10**30), "^star n must be at most sys.maxsize"),
 ], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "labels-int",
-        "labels-unhashable", "clique-int", "sweep-int", "solve-cap-negative",
-        "greedy-cap-negative", "solve-cap-str", "bench-str", "bench-none",
-        "graph-huge", "gnp-huge", "tree-huge", "cycle-huge", "clique-huge", "star-huge"])
+        "labels-unhashable", "labels-str", "labels-bool", "labels-float", "clique-int",
+        "sweep-int", "solve-cap-negative", "greedy-cap-negative", "solve-cap-str", "bench-str",
+        "bench-none", "graph-huge", "gnp-huge", "tree-huge", "cycle-huge", "clique-huge", "star-huge"])
 def test_bad_inputs_raise_value_error_at_their_owner(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -269,7 +273,7 @@ def test_random_instances_keep_graph_invariants(seed, raw_edges):
 # Tokens mix signs, leading zeros and digit underscores, so that distinct
 # tokens can name one vertex; "7" and "007" are the same id.
 TOKENS = ("0", "1", "2", "3", "5", "7", "007", "+5", "-3", "1_0", "10", "123456789012")
-BAD_TOKENS = ("x", "1.5", "#", "%", "1__0", "_1", "0x1f")
+BAD_TOKENS = ("x", "1.5", "#", "%", "1__0", "_1", "0x1f", "|")
 pads = st.sampled_from(("", " ", "\t", " \t"))
 tokens = st.sampled_from(TOKENS)
 
@@ -334,6 +338,12 @@ def outcome(read, *args):
 @example("# only\r\n%comments\r", 1)
 @example("1 2\r\n3 4\r5 6\n\n# 7\n7 8\n", 3)  # cuts after \r\n and before a blank line
 @example("1 2\r3 4\r\r5 x\r", 2)  # no "\n": cuts after each lone \r
+# Two bad lines in one chunk whose token counts make up for each other, with
+# and without a "|" typed in the file.
+@example("1\n2 3 4\n", 12)
+@example("1 2 |\n3\n", 12)
+@example("| 1\n2 3\n", 12)
+@example("1 2\n3 4 5\n", 12)  # the right "|" slots, one token too many
 def test_load_edge_list_matches_per_line_reader(tmp_path_factory, text, chunk):
     # Once with the load's own chunk size, and once with a chunk of a few
     # characters, so that most lines start a chunk of their own.
