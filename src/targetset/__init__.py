@@ -1,12 +1,7 @@
-"""Small target sets for threshold-based influence spread in networks.
-
-Given an undirected graph and an integer threshold per vertex, activation
-spreads in rounds: a vertex activates once enough of its neighbors are
-active.  This package finds small seed sets that activate the whole graph
-(a fast elimination solver that is provably optimal on trees, cycles and
-cliques), computes exact rational upper bounds on the solver's output,
-and ships a greedy baseline, an exhaustive oracle, graph generators, and a
-benchmark harness.
+"""Small target sets for threshold-based influence spread in networks: the
+elimination solver ``tss_solve`` (optimal on trees, cycles and cliques),
+exact rational bounds on its output, a greedy baseline, an exhaustive
+oracle, graph generators and a benchmark harness.
 """
 
 from .bench import (

@@ -25,6 +25,8 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One CSV row: an instance, an algorithm's result on it, or its error."""
+
     graph_name: str
     n: int
     m: int
@@ -45,21 +47,17 @@ CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 class BenchConfig:
     """One benchmark run, validated once here for the library and the CLI.
 
-    With the constant-capped policy (plain ``const``; the sweep supplies
-    every T) each value in ``sweep`` produces one instance per source and
-    repetition; ``sweep=None`` means T = 1..10 and an empty sweep is an
-    error.  Other policies draw one assignment per (source, repetition) and
-    take no sweep: any ``sweep`` but ``None`` raises ``ValueError``, as do
-    a sweep that is not a sequence, a sweep value that is not an int, is
-    below 1 or is repeated (checked here, before any graph is built),
-    ``repetitions`` that is not an int >= 1, a ``seed`` that is not an
-    int, an ``exact_cap`` that is not an int >= 0, ``sources`` or
-    ``algorithms`` that is not a sequence or is empty, a source that is
-    not a ``GraphSource``, a repeated source (two sources with one name
-    build the same graphs), and a policy that ``assign_thresholds`` would
-    reject (``file:`` without a path, say).
-    ``timings`` off keeps the CSV byte-identical across runs; switch it on
-    to study scaling.
+    With plain ``const`` each ``sweep`` value T gives one ``const:T``
+    instance per source and repetition (``None`` means 1..10).  Other
+    policies draw one assignment per (source, repetition) and take no sweep.
+    ``ValueError`` is raised before any graph is built for: a sweep with a
+    policy other than ``const``, a sweep that is empty, not a sequence, or
+    holds a value that is not an int >= 1 or is repeated; ``repetitions``
+    not an int >= 1, ``seed`` not an int, ``exact_cap`` not an int >= 0;
+    ``sources`` or ``algorithms`` empty or not a sequence, a source that is
+    not a ``GraphSource``, a repeated source or algorithm, an unknown
+    algorithm; and a policy ``assign_thresholds`` would reject.  ``timings``
+    off keeps the CSV byte-identical across runs.
     """
 
     sources: tuple[GraphSource, ...]
@@ -122,17 +120,13 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Build each instance, then solve, verify and bound it once per algorithm.
 
     Rows come in configuration order (source, repetition, sweep value,
-    algorithm).  A policy other than ``const`` has no sweep: one instance
-    per (source, repetition), with ``t_param`` ``None``.  A solver error
-    such as an oversized exact instance becomes an error row and the run
-    continues; an emitted set that fails the target-set re-check raises
-    ``AssertionError``, because that is a bug.  A source that cannot be
-    built (a missing edge file, say) raises ``ValueError`` or ``OSError``
-    when the loop reaches it.  A source whose graph ignores the seed (an
-    edge-list file, a cycle, a clique or a star) is built once and its graph
-    shared by every repetition, which a ``Graph`` allows because it cannot
-    be mutated; the ``seed`` column still names each repetition's seed.
-    Anything but a ``BenchConfig`` raises ``ValueError``.
+    algorithm); without a sweep ``t_param`` is ``None``.  A solver
+    ``ValueError`` (an oversized exact instance, say) becomes an error row;
+    an emitted set that fails the target-set re-check raises
+    ``AssertionError``.  A source that cannot be built raises ``ValueError``
+    or ``OSError`` when the loop reaches it.  A source whose graph ignores
+    the seed is built once for all repetitions.  Anything but a
+    ``BenchConfig`` raises ``ValueError``.
     """
     if not isinstance(cfg, BenchConfig):
         raise ValueError(f"expected a BenchConfig, got {cfg!r}")
@@ -143,9 +137,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             gseed = derive_seed(cfg.seed, "graph", src.name, rep)
             if g is None or src.kind in _SEEDED_KINDS:
                 g = src.with_seed(gseed).build()
-            # Every threshold list of this graph is drawn first and held until
-            # its instances are solved, so no two instances of one graph share
-            # an object id (a freed list's id can come back on a later list).
+            # Held all at once, so no two instances share an object id (CHANGES.md).
             assignments = [(t_param, assign_thresholds(
                 g, cfg.policy if t_param is None else f"const:{t_param}",
                 derive_seed(cfg.seed, "thresholds", src.name, rep, t_param)))
@@ -171,13 +163,10 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
 
 
 def write_csv(rows: Sequence[BenchRow], stream: IO) -> None:
-    """Write ``CSV_HEADER`` and one line per row, fields in declaration order.
-
-    The ``csv`` module quotes a field that holds a comma, a quote or a line
-    break; ``None`` becomes an empty field.  ``rows`` that is not a sequence
-    of ``BenchRow`` and a ``stream`` without a ``write`` method raise
-    ``ValueError`` before anything is written.
-    """
+    """Write ``CSV_HEADER`` and one line per row, fields in declaration order,
+    quoted as the ``csv`` module does (``None`` is an empty field).  ``rows``
+    that is not a sequence of ``BenchRow`` and a ``stream`` without a
+    ``write`` method raise ``ValueError`` before anything is written."""
     if not (isinstance(rows, Sequence) and all(isinstance(row, BenchRow) for row in rows)):
         raise ValueError(f"rows must be a sequence of BenchRows, got {rows!r}")
     if not callable(getattr(stream, "write", None)):
@@ -188,13 +177,12 @@ def write_csv(rows: Sequence[BenchRow], stream: IO) -> None:
 
 
 def run_verify(klass: str, n_max: int, instances: int, seed: int = 0) -> list[str]:
-    """Cross-check the solver against the exact oracle on a graph class and
-    return one line per mismatch (empty when every instance agrees).
+    """Cross-check the solver against the exact oracle on random ``tree``,
+    ``cycle`` or ``clique`` instances; return one line per mismatch.
 
-    Random instances of ``tree``, ``cycle`` or ``clique`` are drawn with the
-    thresholds that exercise every elimination branch: uniform in [1, d] for
-    trees, mixes of {0, 1, 2, d+1} for cycles, uniform in [1, n+2] for
-    cliques (where the closed form is checked as well).
+    The thresholds exercise every elimination branch: uniform in [1, d] for
+    trees, {0, 1, 2, d+1} for cycles, uniform in [1, n+2] for cliques (where
+    the closed form is checked as well).
     """
     if klass not in ("tree", "cycle", "clique"):
         raise ValueError(f"unknown verification class {klass!r}")

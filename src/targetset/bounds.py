@@ -14,14 +14,8 @@ with fewer than 3 vertices escape that guarantee (a two-vertex component of
 threshold-1 leaves contributes 0 to the bound but needs a seed), which is
 why reports carry an ``applicable`` flag.
 
-Both sums are computed the same way: whole terms (t >= denominator) are
-counted as one int, zero thresholds are skipped, and the remaining
-numerators are summed per denominator, so the ``Fraction`` work is one add
-per distinct denominator rather than one per vertex.  d2 needs no adjacency
-scan: it starts as the degree, and each threshold-1 leaf (degree <= 1, the
-only vertices outside the domain) lowers the count of its single neighbour.
-Each bound thus costs O(n) int work plus O(distinct degrees) ``Fraction``
-adds.
+Each bound costs O(n) int work plus one ``Fraction`` add per distinct
+denominator.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ class BoundReport:
 
 def _sum_min_one(numerators: Iterable[int], denominators: Iterable[int]) -> Fraction:
     """Exact sum of min(1, a / b) over paired a >= 0 and b >= 1, with one
-    ``Fraction`` add per distinct denominator (see the module docstring)."""
+    ``Fraction`` add per distinct denominator."""
     whole = 0
     grouped: dict[int, int] = {}
     for a, b in zip(numerators, denominators):
@@ -85,15 +79,11 @@ def bound_old(g: Graph, t: Sequence[int]) -> Fraction:
 
 
 def check_bound_dominance(g: Graph, t: Sequence[int]) -> BoundReport:
-    """Compute both bounds, solve (``reference.solve`` re-checks the set), and
-    check the provable relations.
-
-    ``applicable`` is true iff every connected component has at least 3
-    vertices (for a connected graph: n >= 3).  When applicable, the report
-    asserts bound_new <= bound_old and |target set| <= bound_new, comparing
-    exact rationals and raises ``AssertionError`` (also under ``python -O``)
-    when either fails.  Inapplicable graphs skip the checks.
-    """
+    """Both bounds and the ``tss_solve`` size (its set re-checked by
+    ``reference.solve``).  ``applicable`` is true iff every connected
+    component has at least 3 vertices; then bound_new <= bound_old and
+    |target set| <= bound_new must hold in exact rationals, else
+    ``AssertionError`` is raised, also under ``python -O``."""
     bn = bound_new(g, t)
     bo = bound_old(g, t)
     report = solve(g, t, TSS)[0]

@@ -1,9 +1,6 @@
-"""Synchronous threshold activation and target-set checking.
-
-Starting from a seed set, activation spreads in rounds: a vertex becomes
-active in a round as soon as the number of its neighbors active at the end of
-the previous round reaches its threshold.  A seed set whose process
-eventually activates every vertex is a target set.
+"""Synchronous threshold activation and target-set checking: a vertex
+activates in a round once its neighbors active at the end of the previous
+round reach its threshold, and a target set activates every vertex.
 """
 
 from __future__ import annotations
@@ -17,13 +14,10 @@ from .thresholds import check_thresholds
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """One activation run.
-
-    ``rounds[0]`` is the seed set; ``rounds[i]`` holds the vertices newly
-    activated at round ``i``.  The round sets are pairwise disjoint and their
-    union is ``active``.  ``converged_round`` is the first round after which
-    nothing changes; it is at most n.
-    """
+    """One activation run: ``rounds[0]`` is the seed set and ``rounds[i]`` the
+    vertices newly activated at round ``i``; the rounds are pairwise disjoint
+    with union ``active``.  ``converged_round``, at most n, is the first round
+    after which nothing changes."""
 
     rounds: list[set[int]]
     active: set[int]
@@ -50,13 +44,9 @@ def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
 def _spread(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
     """Run the synchronous activation process to its fixpoint; return the
     active vertices in activation order and each vertex's round (-1 if it
-    never activates).
-
-    One FIFO worklist over remaining-need counters, O(n + m).  Seeds get
-    round 0, unseeded threshold-0 vertices round 1; a vertex whose need a
-    popped vertex of round r brings to 0 gets round r + 1 and joins the
-    queue.  Rounds in the queue never decrease, so u's need is completed by
-    its t(u)-th earliest active neighbor: the synchronous round exactly.
+    never activates).  One FIFO worklist over remaining-need counters,
+    O(n + m): rounds in the queue never decrease, so u's need is met by its
+    t(u)-th earliest active neighbor, in exactly the synchronous round.
     """
     check_thresholds(g, t)
     adj = g.adjacency
@@ -95,13 +85,17 @@ def format_trace(trace: ActivationTrace, g: Graph | None = None) -> str:
     """Render a trace one line per round: ``round_index: sorted vertex ids``.
 
     When a labeled graph is given, ids are reported in its original id space.
-    A ``trace`` that is not an :class:`ActivationTrace` or a ``g`` that is
-    neither ``None`` nor a ``Graph`` raises ``ValueError``.
+    A ``trace`` that is not an :class:`ActivationTrace`, a ``g`` that is
+    neither ``None`` nor a ``Graph``, and a trace that names a vertex outside
+    ``range(g.n)`` raise ``ValueError``.
     """
     if not isinstance(trace, ActivationTrace):
         raise ValueError(f"expected an ActivationTrace, got {trace!r}")
     if g is not None:
         _check_graph(g)
+        bad = [v for r in trace.rounds for v in r if type(v) is not int or not 0 <= v < g.n]
+        if bad:
+            raise ValueError(f"trace vertex {bad[0]!r} out of range for n={g.n}")
     lines = []
     for i, round_set in enumerate(trace.rounds):
         ids = sorted(g.original_ids(round_set) if g is not None else round_set)

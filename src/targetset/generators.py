@@ -19,32 +19,9 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     Uses geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71,
     036113, 2005), so the cost is O(n + m) rather than one Bernoulli draw
     per pair; the edge distribution is the same.  The pairs (v, w), w < v,
-    are visited in lexicographic order, so each vertex receives its smaller
-    neighbors in increasing order before any larger one, also in increasing
-    order: every adjacency list comes out sorted, without repeats or
-    self-loops.  At the end one C-level pass, ``list(map(tuple, adj))``,
-    freezes the lists into the graph's tuples while every list is still
-    alive, so the tuples are laid out in fresh memory in vertex order.  At
-    n = 100000 a solve and its target-set check ran about 11% faster on
-    them than on tuples frozen in place one list at a time, which take the
-    freed lists' scattered memory, though the pass holds both forms at once
-    (a tracemalloc peak of the build of 32.4 against 20.2 MiB).
-
-    Every entry is taken from one ``ids = list(range(n))``, so each vertex
-    id is a single int object shared by every list that names it.  The
-    skip arithmetic makes a fresh int for each lower endpoint, and on
-    G(100000, 10/n) those copies took 15 of the graph's 34 MiB.  The row
-    vertex and its list are bound once per row.
-
-    Two steps of the loop are cheaper forms that keep the random stream, each
-    float operation of a skip, and so the edge order and every list.  A skip
-    is compared with ``limit``, the smallest float >= the int pair count
-    ``pairs = n(n - 1)/2`` (:func:`_float_ceiling`): for a float skip,
-    ``skip >= limit`` holds exactly when ``skip >= pairs`` does, and a
-    float-to-float compare is cheaper than a float-to-int one.  Past that
-    break a skip is finite and >= 0 (or -0.0), so ``floor(skip)`` is the int
-    that ``int(skip)`` would truncate it to, without a call to the ``int``
-    type.
+    are visited in lexicographic order, so every adjacency list comes out
+    sorted, without repeats or self-loops.  ``n`` must be an int in
+    ``1 .. sys.maxsize`` and ``p`` a real in (0, 1), else ``ValueError``.
     """
     _check_count("gnp n", n, 1)
     if not isinstance(p, Real):
@@ -55,8 +32,10 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
     log = math.log
     floor = math.floor
     log_q = math.log1p(-p)
+    # skip >= limit iff skip >= the pair count, and floor(skip) == int(skip)
+    # past that break; the float forms are the faster ones (CHANGES.md).
     limit = _float_ceiling(n * (n - 1) // 2)
-    ids = list(range(n))
+    ids = list(range(n))  # one shared int object per vertex id (CHANGES.md)
     adj: list[list[int]] = [[] for _ in ids]
     # Row 0 has no pairs (w < v), so the first draw always advances to
     # row 1 or beyond and binds the row before any edge is added.
@@ -76,6 +55,7 @@ def gnp(n: int, p: float, seed: int | None = None) -> Graph:
             row = adj[v]
         row.append(ids[w])
         adj[w].append(row_id)
+    # Freeze while every list is alive, so the tuples lie in vertex order (CHANGES.md).
     return Graph._from_adjacency(list(map(tuple, adj)))
 
 
@@ -113,11 +93,13 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    """Cycle on n >= 3 vertices, ``i`` adjacent to ``i + 1 mod n``."""
     _check_count("cycle n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def clique_graph(n: int) -> Graph:
+    """Complete graph on n >= 1 vertices."""
     _check_count("clique n", n, 1)
     return Graph(n, combinations(range(n), 2))
 
@@ -128,20 +110,16 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
-# The source kinds whose graph depends on the seed; every other kind builds
-# the same graph whatever the seed.
+# The source kinds whose graph depends on the seed.
 _SEEDED_KINDS = frozenset({"gnp", "tree"})
 
 
 @dataclass(frozen=True)
 class GraphSource:
-    """Where a graph comes from: an edge-list file or a named generator.
-
-    Parseable from compact spec strings as used by the CLI and the benchmark
-    harness: ``gnp:N:P``, ``tree:N``, ``cycle:N``, ``clique:N``, ``star:N``,
-    ``edges:PATH``.  Parsing checks the spec's shape; the generators check
-    its values when :meth:`build` runs.  A spec has no seed field: the
-    random generators take their seed from :meth:`with_seed`.
+    """Where a graph comes from, parsed from a spec: ``gnp:N:P``, ``tree:N``,
+    ``cycle:N``, ``clique:N``, ``star:N`` or ``edges:PATH``.  Parsing checks
+    the spec's shape (``ValueError``); the generators check its values when
+    :meth:`build` runs.  The seed comes from :meth:`with_seed`.
     """
 
     kind: str

@@ -1,17 +1,6 @@
-"""Simple undirected graphs with contiguous integer vertex ids.
-
-The whole library works on :class:`Graph`: an immutable simple undirected
-graph whose vertices are exactly ``0 .. n-1``, stored as sorted adjacency
-tuples.  Graphs loaded from edge-list files keep the original int ids in
-``labels`` so results can be reported in the caller's id space.
-
-Edge-list and threshold files share one format, defined by the per-line
-reader ``_int_pairs``, which raises at the first bad line, and one text
-reader, ``_read_text``.  Threshold files are read through ``_int_pairs``.
-:func:`load_edge_list` reads one chunk of lines at a time: one split of the
-lines joined by a ``"|"`` separator checks their shape, and one id-map
-lookup per token numbers the vertices.  It runs ``_int_pairs`` only to name
-a bad line.
+"""The :class:`Graph` type, edge-list I/O, components, and the shared input
+checks.  Edge-list and threshold files share one line format, defined by
+``_int_pairs``, and one text reader, ``_read_text``.
 """
 
 from __future__ import annotations
@@ -26,25 +15,16 @@ from typing import IO, Iterable, Iterator
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph on the vertices ``0 .. n-1``.
 
-    The constructor normalizes its input: self-loops are dropped, every
-    adjacency list is sorted, a list that then holds a repeated neighbor
-    (a duplicate edge, in either orientation) is rebuilt without it, and
-    each list is frozen into a tuple (``_normalise``, which
-    :func:`load_edge_list` applies too).  A vertex count above
-    ``sys.maxsize``, an ``edges`` argument that is not an iterable of pairs,
-    an endpoint whose type is not exactly int (a bool, a float or an
-    ``IntEnum``), and labels that are not an iterable of distinct ids of
-    type exactly int raise ``ValueError``.  ``adjacency[v]`` is the sorted
-    neighbor tuple of ``v``, exposed directly for speed.
-
-    :meth:`_from_adjacency` wraps tuples that already hold this invariant
-    without checking it: each tuple is strictly increasing, holds int ids of
-    other vertices only, and ``u`` is in ``adj[v]`` exactly when ``v`` is in
-    ``adj[u]``.  Its callers, ``generators.gnp`` and :func:`load_edge_list`,
-    fill the lists with one shared int object per vertex id, so an id costs
-    one object however many tuples name it.
+    Invariant: ``adjacency[v]`` is a strictly increasing tuple of the other
+    vertices adjacent to ``v``, and ``u`` is in ``adjacency[v]`` exactly when
+    ``v`` is in ``adjacency[u]``.  The constructor drops self-loops and
+    repeated edges.  ``labels``, when given, are the vertices' original ids.
+    A vertex count that is not an int in ``0 .. sys.maxsize``, ``edges`` that
+    is not an iterable of pairs, an endpoint whose type is not exactly int
+    or out of range, and labels that are not ``n`` distinct ints raise
+    ``ValueError``.
     """
 
     __slots__ = ("n", "m", "adjacency", "labels")
@@ -98,10 +78,8 @@ class Graph:
 
     @classmethod
     def _from_adjacency(cls, adj: list[tuple[int, ...]], labels: tuple | None = None) -> "Graph":
-        """Graph on ``len(adj)`` vertices that takes ``adj``, a list of
-        neighbor tuples, as its adjacency and ``labels`` (a tuple of
-        ``len(adj)`` distinct ids, or ``None``) as they are, unchecked; the
-        caller guarantees the class invariant."""
+        """Graph whose adjacency is ``adj`` and whose labels are ``labels``,
+        taken as they are; the caller guarantees the class invariant."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.m = sum(map(len, adj)) // 2
@@ -185,18 +163,13 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
+    """True iff ``g`` has at most one connected component."""
     return len(connected_components(g)) <= 1
 
 
 def _normalise(adj: list) -> None:
-    """Replace every adjacency list of ``adj`` by a sorted tuple of its
-    distinct neighbors: the list is sorted in place and frozen as it is, or
-    rebuilt from its set when it holds a repeated neighbor.
-
-    This is the one normalisation rule of :class:`Graph`; its callers drop
-    self-loops and admit only int ids as they fill the lists.  The tuple
-    holds the list's own int objects, so shared vertex ids stay shared.
-    """
+    """Replace every adjacency list of ``adj`` by the sorted tuple of its
+    distinct neighbors; the one normalisation rule of :class:`Graph`."""
     for v, lst in enumerate(adj):
         lst.sort()
         adj[v] = tuple(sorted(set(lst))) if len(set(lst)) < len(lst) else tuple(lst)
@@ -204,9 +177,12 @@ def _normalise(adj: list) -> None:
 
 def _read_text(source: str | Path | bytes | IO) -> str:
     """The text of a path, bytes, or an open text or binary stream; any
-    other source raises ``ValueError``."""
+    other source, or a stream whose ``read()`` gives neither str nor bytes,
+    raises ``ValueError``."""
     if hasattr(source, "read"):
         data = source.read()
+        if not isinstance(data, (str, bytes)):
+            raise ValueError(f"expected a stream of str or bytes, its read() gave {type(data).__name__}")
         return data.decode() if isinstance(data, bytes) else data
     if isinstance(source, bytes):
         return source.decode()
@@ -221,9 +197,7 @@ def _check_path(path):
     return path
 
 
-# Characters per chunk of an edge-list load; a chunk's strings and ints are
-# freed before the next is read, so they stay small beside the graph.
-_CHUNK_CHARS = 1 << 16
+_CHUNK_CHARS = 1 << 16  # characters per chunk of an edge-list load
 
 
 def _int_pairs(lines: list[str], expected: str) -> Iterator[tuple[int, int, int]]:
@@ -252,26 +226,10 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     Lines starting with ``#`` or ``%`` are comments.  Self-loops are dropped,
     duplicates (including reversed repeats) are merged, and arbitrary external
     ids are compacted to ``0..n-1`` in order of first appearance; the original
-    ids are kept in ``Graph.labels``.
-
-    The text is read one chunk at a time, each cut just after a ``"\\n"``
-    (a ``"\\r"`` in a text without ``"\\n"``) about every ``_CHUNK_CHARS``
-    characters, so the chunk's ``splitlines`` gives the lines that the whole
-    text's would.  A chunk's ``L`` data lines (blank and comment lines
-    dropped) are joined with ``" | "`` and split once: they all hold two
-    tokens exactly when that gives ``3 * L - 1`` tokens with a ``"|"`` in
-    every third slot.  The separators are deleted, the tokens converted with
-    ``map(int, ...)``, and each is read once from the id map, a
-    ``defaultdict`` that numbers a new id as the next vertex, one shared int
-    each.  The chunk's pairs fill the adjacency before the next chunk is
-    read; the filled lists are normalised by the constructor's rule and
-    handed to :meth:`Graph._from_adjacency` unchecked.  No pass stops at a
-    bad line (a ``"|"`` typed in the file fails ``int``), so a failed chunk
-    runs ``_int_pairs`` over the whole text to name the first one.
-
-    Raises:
-        ValueError: on a malformed line (message carries the line number) or
-            when the input contains no vertices at all.
+    ids are kept in ``Graph.labels``.  The text is read in chunks of whole
+    lines, each filled into the adjacency before the next is read.  A
+    malformed line (named by its number) or an input without vertices
+    raises ``ValueError``.
     """
     text = _read_text(source)
     eol = "\n" if "\n" in text else "\r"  # a text may end its lines with a lone "\r"
@@ -280,7 +238,7 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
     try:
         lo = 0
         while lo < len(text):
-            hi = text.find(eol, lo + _CHUNK_CHARS) + 1 or len(text)
+            hi = text.find(eol, lo + _CHUNK_CHARS) + 1 or len(text)  # cut after a line end
             chunk = text[lo:hi]
             lo = hi
             data = list(filter(str.strip, chunk.splitlines()))
@@ -292,7 +250,7 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
             if len(tokens) != 3 * len(data) - 1 or tokens[2::3].count("|") != len(data) - 1:
                 raise ValueError
             del tokens[2::3]
-            values = list(map(int, tokens))  # every token int before the first new vertex int
+            values = list(map(int, tokens))  # first, so vertex ints sit side by side (CHANGES.md)
             del tokens
             pairs = iter(list(map(index.__getitem__, values)))
             adj += [[] for _ in range(len(index) - len(adj))]
@@ -300,10 +258,8 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
                 if u != v:
                     adj[u].append(v)
                     adj[v].append(u)
-            # Free the token ints for the next chunk's to refill, so that its
-            # new vertex ints go to fresh memory, side by side.
-            del values, pairs
-    except ValueError:
+            del values, pairs  # the next chunk's token ints refill this memory
+    except ValueError:  # no bulk pass stops at a bad line; the per-line reader names it
         for _ in _int_pairs(text.splitlines(), "two integer tokens"):
             pass
         raise AssertionError("the bulk read failed on lines that read back clean")
@@ -314,13 +270,10 @@ def load_edge_list(source: str | Path | bytes | IO) -> Graph:
 
 
 def write_edge_list(g: Graph, target: str | Path | IO) -> None:
-    """Write the graph as edge-list text, one "u v" line per edge, then one
-    "v v" line per vertex without edges (the loader keeps such a vertex and
-    drops the self-loop).
-
-    Vertices are written in the graph's reporting id space, so a loaded
-    graph round-trips through its original ids.
-    """
+    """Write one "u v" line per edge, then one "v v" line per vertex without
+    edges (the loader keeps it and drops the self-loop), in the graph's
+    original ids, so a loaded graph round-trips.  A ``target`` that is
+    neither writable nor a path raises ``ValueError``."""
     _check_graph(g)
     name = g.original_id
     lines = [f"{name(u)} {name(v)}" for u, v in g.edges()]

@@ -19,13 +19,8 @@ TSS, _, EXACT = ALGORITHMS
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exhaustive-search outcome.
-
-    ``witness`` is one optimal target set; no smaller set is a target set
-    (guaranteed by the increasing-cardinality search order).
-    ``subsets_examined`` counts the candidate seed sets whose activation
-    closure was evaluated.
-    """
+    """Exhaustive-search outcome: ``witness`` is one optimal target set, and
+    ``subsets_examined`` counts the seed sets whose closure was evaluated."""
 
     optimum_size: int
     witness: tuple[int, ...]
@@ -55,22 +50,18 @@ def _close_mask(
 def _min_seed_for_component(
     members: list[int], adj: list[list[int]], tt: list[int]
 ) -> tuple[list[int], int]:
-    """Smallest seed set activating one component, by increasing cardinality.
+    """Smallest seed set activating one component, and the count of sets
+    examined, by increasing cardinality (lexicographic within a size).
 
-    Candidates are enumerated lexicographically within each size, with three
-    sound cuts.  A prefix never extends with a vertex already inside its
-    activation closure (at the first feasible size such a set would imply a
-    smaller solution).  A subtree is dropped when even seeding every
-    remaining candidate at once would not activate the whole component
-    (activation is monotone in the seed set).  And it is dropped by counting
-    (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010): each inactive vertex u still
-    needs r(u) = t(u) - |N(u) & closed| neighbours active before it, and
-    each edge among the inactive vertices serves at most one endpoint, so
-    once the ``need`` largest r are seeded the other r sum to at most that
-    edge count.  Size 0 only counts the empty set, which activates nothing
-    once no threshold is 0.  Seeding the whole component always works, so
-    the search ends by size ``len(members)``; if it does not, a cut is
-    unsound and ``AssertionError`` is raised (also under ``python -O``).
+    Three sound cuts: a prefix never extends with a vertex inside its
+    activation closure; a subtree is dropped when seeding every remaining
+    candidate would not activate the component; and it is dropped by
+    counting (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010): each edge among the
+    inactive vertices serves at most one endpoint's residual need, so once
+    the ``need`` largest needs are seeded the others sum to at most that
+    edge count.  Seeding the whole component always works; a search that
+    passes ``len(members)`` means an unsound cut and raises
+    ``AssertionError``.
     """
     comp_mask = sum(1 << u for u in members)
     adj_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
@@ -111,17 +102,13 @@ def _min_seed_for_component(
 def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) -> ExactResult:
     """Exact minimum target set by exhaustive search over seed sets.
 
-    Seed sets are tried in increasing cardinality (lexicographic within a
-    size); supersets of target sets are target sets, so the first hit proves
-    the optimum.  First a closure reduction shrinks the instance without
-    changing the optimum: the vertices with t(v) > d(v) are seeded and their
-    activation closure is removed.  A removal keeps each survivor's t - d
-    unchanged, so no vertex becomes forced later.  Per-component search
-    keeps the enumeration small; bitmasks keep each activation check cheap.
-
-    Raises:
-        ValueError: when n exceeds ``max_vertices`` ("instance too large for
-            exact solver"), and when ``max_vertices`` is not an int >= 0.
+    Seed sets are tried in increasing cardinality, so the first hit is
+    optimal.  First the vertices with t(v) > d(v), which every target set
+    holds, are seeded and their activation closure removed; a removal keeps
+    each survivor's t - d, so no vertex becomes forced later.  Each
+    surviving component is then searched on its own, by bitmask.  Raises
+    ``ValueError`` when n exceeds ``max_vertices`` ("instance too large for
+    exact solver") or ``max_vertices`` is not an int >= 0.
     """
     check_thresholds(g, t)
     _check_int("max_vertices", max_vertices, 0)
@@ -129,14 +116,8 @@ def exact_solve(g: Graph, t: Sequence[int], *, max_vertices: int = EXACT_CAP) ->
     if n > max_vertices:
         raise ValueError("instance too large for exact solver")
 
-    # Two moves keep the optimum: a vertex whose residual threshold exceeds
-    # its surviving degree is in every target set, so it is seeded and
-    # removed, and one whose residual threshold is 0 activates unseeded, so
-    # it is removed.  Each removal lowers a surviving neighbour's residual
-    # threshold and surviving degree by one each, so t - d never changes for
-    # a survivor: a vertex is forced exactly when t(v) > d(v) at the start,
-    # and the fixpoint of the two moves is the activation closure of those
-    # seeds.  A survivor keeps t minus its removed neighbours.
+    # The reduction's fixpoint is the activation closure of the forced seeds;
+    # a survivor keeps t minus its removed neighbours.
     adj = g.adjacency
     witness = [v for v in range(n) if t[v] > len(adj[v])]  # then each component's seeds
     present = [r < 0 for r in _spread(g, t, witness)[1]]

@@ -1,44 +1,5 @@
-"""Vertex-elimination solver for small target sets.
-
-The solver removes one vertex per iteration from a shrinking view of the
-graph, maintaining for every surviving vertex v its residual degree delta(v)
-(alive neighbors) and residual threshold k(v) (activations still needed).
-Each iteration classifies some alive vertex, with strict priority:
-
-1. ACTIVATED:  k(v) = 0.  The already-removed vertices activate v on their
-   own, so v is discarded and each alive neighbor's k drops by one, clamped
-   at zero (smallest id first among candidates).
-2. SEEDED:     delta(v) < k(v).  Too few neighbors remain to ever activate v,
-   so v goes into the target set and each alive neighbor's k drops by one
-   (largest residual threshold first, then largest id).
-3. DISCARDED:  otherwise. The alive vertex maximizing
-   k(v) / (delta(v) * (delta(v) + 1)) is dropped on the expectation that its
-   neighbors will activate it (ties: largest residual threshold, then
-   largest id).  The maximization is exact integer arithmetic, never floats.
-
-After the case action, v is removed: alive neighbors lose one degree.  The
-returned set is always a valid target set, found in O(m log n) time.
-``greedy_tss`` runs the same loop with a degree key: when no k = 0 vertex is
-left, it seeds the alive vertex of largest residual degree.
-
-``_eliminate`` checks the thresholds before it copies them into k.  The k
-digit of ``tss_solve``'s key spans the largest degree plus one, not the
-largest threshold plus one; the order is the same, since only keys below
-the seed tier need k < span, and there k <= delta.
-
-Heap keys are packed ints ending in ``* n + v``.  ``_eliminate`` takes the
-key of a vertex with 1 <= k <= delta <= 64 as ``rows[delta][k] + v`` from a
-constant per-degree table that it builds once from the key function, and
-calls the key function only for k > delta and for degrees above 64.
-``rows[delta][k] + v`` is the very int ``key(k, delta, v)`` returns, so the
-heap holds the same keys and pops in the same order either way; the table
-only saves a Python call on each push and re-key.  It stops at degree 64:
-most residual degrees of a sparse graph lie below it, its 2145 entries do
-not grow with the graph or the thresholds, and a table up to the largest
-degree of a heavy-tailed graph costs about as much to build as it saves.
-
-The ranked heap is lazy and built in one place; ``_eliminate`` documents
-its entries, re-keys and builds.
+"""Vertex-elimination solver for small target sets (``tss_solve``) and the
+degree-greedy baseline (``greedy_tss``), two keys over one loop, ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -65,13 +26,9 @@ class Case(IntEnum):
 
 
 class _EliminationOrder(Sequence):
-    """Read-only ``(vertex, case)`` pairs over the two lists ``_eliminate``
-    fills; a pair is built only when it is read.
-
-    It reads like the list of pairs it stands for: ``len``, int and slice
-    indexing (a slice is a list of pairs), iteration, ``==`` against such a
-    list on either side or against another order, and the list's ``repr``.
-    """
+    """Read-only sequence of ``(vertex, case)`` pairs over the two lists that
+    ``_eliminate`` fills; it builds a pair only when read, and it equals the
+    list of its pairs (a slice is such a list)."""
 
     def __init__(self, vertices: list[int], cases: list[Case]):
         self._vertices = vertices
@@ -101,17 +58,9 @@ class _EliminationOrder(Sequence):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Solve outcome: the target set plus elimination bookkeeping; plain data,
-    the CLI formats it.
-
-    ``elimination_order`` reads as the list of ``(vertex, case)`` pairs in
-    removal order.  A solve returns it as a read-only view over two flat
-    lists, vertices and cases, and builds each pair only when it is read:
-    no caller in the package reads the order, and a pair that holds a
-    ``Case`` member is a tuple the cyclic GC tracks and cannot untrack, so
-    one stored pair per removal would set off a young collection about
-    every 700 removals.
-    """
+    """Solve outcome: the sorted target set, the ``(vertex, case)`` pairs in
+    removal order (a read-only sequence), and the ACTIVATED, SEEDED and
+    DISCARDED counts."""
 
     target_set: tuple[int, ...]
     elimination_order: Sequence[tuple[int, Case]]
@@ -130,52 +79,31 @@ def _eliminate(
 ) -> SolverReport:
     """The elimination loop shared by ``tss_solve`` and ``greedy_tss``.
 
+    Raises ``ValueError`` unless ``t`` fits ``g`` (``check_thresholds``).
     An alive vertex with k = 0 leaves first (ACTIVATED, smallest id first).
     Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
-    when k > delta, DISCARDED otherwise.  Keys are packed ints ending in
-    ``* n + v``, so they are distinct and name their vertex.
+    when ``greedy`` or k > delta, DISCARDED otherwise.  Keys are packed ints
+    ending in ``* n + v``, so they are distinct and name their vertex.
 
-    The ranked heap is lazy, and one invariant covers both solvers: once
-    the heap is built, every alive ranked vertex holds at least one entry
-    at or above its current key.  The first popped entry that equals its
-    vertex's current key is then the largest current key.  A popped entry
-    whose vertex died (k = -1) is dropped; one whose vertex is alive under
-    another key is dropped and the current key pushed back.  So a neighbor
-    update need push only when the key can have risen.
+    The ranked heap is lazy.  Invariant: once it is built, every alive
+    vertex with k >= 1 holds an entry at or above its current key, so the
+    first popped entry that equals its vertex's current key is the largest.
+    A popped entry of a dead vertex (k = -1) is dropped; one of an alive
+    vertex under another key is dropped and the current key pushed.  So an
+    update pushes only when the key can have risen:
 
-    ``greedy=False`` goes with ``tss_solve``'s key (seed tier, ratio, k).
-    After a DISCARDED removal only delta falls, which raises the key, so
-    every update pushes (no alive vertex is in the seed tier then).  After
-    an ACTIVATED or SEEDED removal, (k + 1, delta + 1) becomes (k, delta):
-    a seed-tier vertex stays in the seed tier with a lower k, and a ratio
-    rises, k / (delta (delta + 1)) > (k + 1) / ((delta + 1)(delta + 2)),
-    exactly when 2k > delta; at 2k = delta the ratios tie and the lower k
-    loses.  So that update pushes only when ``k <= delta < 2 * k``, for
-    the new k and delta.  ``greedy=True`` is for the greedy baseline: every
-    ranked pop seeds, whatever k and delta are, and since its degree key
-    never rises, updates push nothing and each alive vertex keeps exactly
-    one entry.
+    - ``tss_solve``'s key: after DISCARDED only delta falls, which raises
+      the key, so every update pushes.  After ACTIVATED or SEEDED,
+      (k + 1, delta + 1) becomes (k, delta): a seed-tier key falls, and a
+      ratio rises exactly when 2k > delta (at 2k = delta it ties and the
+      lower k loses).  So the update pushes only when ``k <= delta < 2 * k``.
+    - ``greedy=True``: the degree key never rises, so updates push nothing.
 
-    One block at the head of the ranked pop loop builds the heap from the
-    current key of every alive vertex with k >= 1, so the invariant holds.
-    It runs once more than ``max(n >> 6, DRAIN_FLOOR)`` dead entries have
-    been popped since the last build; the count starts above that, so the
-    first ranked pop builds the heap (dropping earlier pushes) and a solve
-    of ACTIVATED removals alone never does.  Later builds follow long
-    drains (one of the last ranked pops of a G(160000, 10/n) solve drained
-    28180); each costs about a few thousand pops and follows at least
-    n / 64 pops, so the total stays O(m log n).
-
-    The loop binds the ``Case`` members to locals once: on CPython 3.11 a
-    read such as ``Case.SEEDED`` costs about 140-160 ns against about 13 ns
-    for a local, and each removal would make three or four.
-
-    The order goes into two flat lists, ``order`` (vertices) and ``cases``,
-    two pointer appends per removal and no new object; the report pairs
-    them up only when read (see ``SolverReport``), and the case counts
-    come from ``cases``.  A ``(v, case)`` tuple per removal would be a
-    GC-tracked allocation: on G(100000, 10/n) those tuples set off about
-    140 collections per solve, and the two lists none.
+    Build rule: one block at the head of the ranked pop loop builds the
+    heap from the current key of every alive vertex with k >= 1.  It runs at
+    the first ranked pop, never in a solve of ACTIVATED removals alone, and
+    again once more than ``max(n >> 6, DRAIN_FLOOR)`` dead entries have been
+    popped since the last build, so the total stays O(m log n).
     """
     check_thresholds(g, t)
     n = g.n
@@ -183,14 +111,14 @@ def _eliminate(
     delta = g.degrees
     k = list(t)
     target: list[int] = []
-    order: list[int] = []
+    order: list[int] = []  # with cases: no GC-tracked pair per removal (CHANGES.md)
     cases: list[Case] = []
-    ACTIVATED, SEEDED, DISCARDED = Case.ACTIVATED, Case.SEEDED, Case.DISCARDED
+    ACTIVATED, SEEDED, DISCARDED = Case.ACTIVATED, Case.SEEDED, Case.DISCARDED  # cheaper as locals
 
     ready = [v for v in range(n) if k[v] == 0]  # case-1 queue: ids, min first
     ranked: list[int] = []  # every other alive vertex: -key, largest key first
-    # rows[d][k] = key(k, d, 0) for 1 <= k <= d <= TABLE_DEGREE; column 0 is
-    # never read.  Tuples, since the table is constant.
+    # rows[d][k] + v == key(k, d, v) for 1 <= k <= d <= TABLE_DEGREE, which
+    # saves a key call per push (CHANGES.md); column 0 is never read.
     rows = tuple(
         (0,) + tuple(key(kv, dv, 0) for kv in range(1, dv + 1))
         for dv in range(min(max(delta, default=0), TABLE_DEGREE) + 1)
@@ -203,9 +131,7 @@ def _eliminate(
             v = heappop(ready)
             case = ACTIVATED
         else:
-            # Every alive vertex has k >= 1 (the ready queue is empty) and,
-            # once ranked is built, an entry there at or above its key.  A
-            # dead vertex's entry is dropped, a stale key's is re-keyed.
+            # Lazy pop: a dead vertex's entry is dropped, a stale key's re-keyed.
             while True:
                 if dead > drain:
                     ranked.clear()  # the new entries reuse the old ones' memory
@@ -233,8 +159,6 @@ def _eliminate(
         k[v] = -1  # removed; alive vertices have k >= 0
         order.append(v)
         cases.append(case)
-        # ACTIVATED and SEEDED drop each alive neighbor's k by one; DISCARDED
-        # leaves thresholds untouched.  Every alive neighbor loses a degree.
         drops = case is not DISCARDED
         for u in adj[v]:
             ku = k[u]
@@ -244,9 +168,8 @@ def _eliminate(
             delta[u] = du
             if drops:
                 if ku == 0:
-                    # A k = 0 vertex wins case 1 before any SEEDED removal, so
-                    # only ACTIVATED meets one: k stays clamped at 0 and its
-                    # case-1 queue entry is still valid.
+                    # Only ACTIVATED meets k = 0 (it wins before any SEEDED
+                    # removal): k stays clamped at 0, its queue entry valid.
                     if case is SEEDED:
                         raise AssertionError("residual threshold would go negative")
                     continue
@@ -255,9 +178,7 @@ def _eliminate(
                 if ku == 0:
                     heappush(ready, u)
                     continue
-            # No alive vertex has k = 0 when DISCARDED runs, so here k >= 1.
-            # After a drop, u's key rose only if ku <= du < 2 * ku; otherwise
-            # its old entry still lies above the new key.
+            # Here k >= 1; push only when the key can have risen (push rule above).
             if greedy or (drops and not ku <= du < 2 * ku):
                 continue
             heappush(ranked, -(rows[du][ku] + u if ku <= du < top else key(ku, du, u)))
@@ -270,9 +191,22 @@ def _eliminate(
 
 
 def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
-    """Run the elimination solver; exactly n iterations, one removal each.
+    """Find a target set of ``g`` under thresholds ``t`` by elimination.
 
-    Deterministic for a fixed input under the documented tie-breaks.
+    Each of n iterations removes one alive vertex v, with residual degree
+    delta(v) (alive neighbors) and residual threshold k(v) (activations still
+    needed), as the first case that applies:
+
+    1. ACTIVATED: k(v) = 0 (smallest id first);
+    2. SEEDED: delta(v) < k(v), and v joins the target set (largest k, then
+       largest id, first);
+    3. DISCARDED: v maximizes k / (delta (delta + 1)), compared exactly
+       (ties: largest k, then largest id).
+
+    ACTIVATED and SEEDED lower each alive neighbor's k by one, clamped at 0;
+    every removal lowers each alive neighbor's delta by one.  The result is
+    always a target set, found in O(m log n) time.  A non-``Graph`` ``g`` or
+    thresholds that do not fit it raise ``ValueError``.
     """
     _check_graph(g)  # the key reads g before _eliminate checks t
     n = g.n
@@ -299,14 +233,13 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
 
 
 def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
-    """Degree-greedy baseline.
+    """Degree-greedy baseline, with ``tss_solve``'s contract.
 
     Repeatedly pick the alive vertex of minimum residual threshold (smallest
     id on ties).  If its threshold is still positive, instead insert the
     alive vertex of maximum residual degree (largest id on ties) into the
     target set.  Either way the chosen vertex is removed and every alive
     neighbor loses one degree and one threshold unit (clamped at zero).
-    The loop runs with ``greedy=True`` (see ``_eliminate``).
     """
     _check_graph(g)
     n = g.n

@@ -1,8 +1,5 @@
-"""Threshold assignment policies.
-
-A threshold assignment is a plain list of nonnegative ints, one per vertex:
-``t[v]`` is how many already-active neighbors vertex ``v`` needs before it
-activates (0 means it activates on its own).
+"""Threshold assignment policies.  An assignment is a list of nonnegative
+ints, one per vertex: ``v`` activates once ``t[v]`` neighbors are active.
 """
 
 from __future__ import annotations
@@ -16,10 +13,7 @@ from .graph import Graph, _check_graph, _check_int, _int_pairs, _read_text, _rng
 
 def check_thresholds(g: Graph, t: Sequence[int]) -> None:
     """Raise ``ValueError`` unless ``g`` is a :class:`Graph` and ``t`` is a
-    sequence of ``g.n`` ints >= 0.
-
-    A dict or a set is rejected: it has a length, but its iteration order
-    (keys, or hash order) is not a vertex order."""
+    sequence of ``g.n`` ints >= 0 (a dict or a set has no vertex order)."""
     _check_graph(g)
     if not isinstance(t, Sequence):
         raise ValueError(f"thresholds must be a sequence of ints, got {t!r}")
@@ -33,11 +27,7 @@ def check_thresholds(g: Graph, t: Sequence[int]) -> None:
 
 
 def constant_capped(g: Graph, t: int) -> list[int]:
-    """t(v) = min(t, d(v)) for a constant t >= 1.
-
-    Isolated vertices get 0 under this policy (min(t, 0) = 0), i.e. they
-    self-activate; real social networks have none.
-    """
+    """t(v) = min(t, d(v)) for a constant int t >= 1; an isolated vertex gets 0."""
     _check_graph(g)
     _check_int("constant-capped t", t, 1)
     return [d if d < t else t for d in map(len, g.adjacency)]
@@ -46,13 +36,9 @@ def constant_capped(g: Graph, t: int) -> list[int]:
 def random_in_degree(g: Graph, seed: int | None = None) -> list[int]:
     """Uniform random t(v) in [1, d(v)] per vertex (0 for isolated vertices).
 
-    Each draw is ``random.Random.randint(1, d)``'s own, inlined: on CPython
-    ``randint`` calls ``randrange``, which returns 1 plus
-    ``_randbelow_with_getrandbits(d)``, and that draws ``getrandbits(b)``
-    with ``b = d.bit_length()`` until the value is below ``d``.  The loop
-    below makes the same ``getrandbits`` calls in the same order, so the
-    stream and every value stay those of ``randint``, without its three
-    Python frames per vertex.
+    The values are those of successive ``randint(1, d)`` calls on
+    ``random.Random(seed)``, whose ``getrandbits`` draws the loop inlines for
+    speed (CHANGES.md).
     """
     _check_graph(g)
     draw = _rng(seed).getrandbits

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -5,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetset import (
+    ActivationTrace,
     Graph,
     clique_graph,
     cycle_graph,
     format_trace,
     is_target_set,
+    load_edge_list,
     run_activation,
 )
 from conftest import activation_closure, path_graph, random_instance
@@ -91,7 +94,16 @@ def test_format_trace_uses_original_ids():
     (lambda: format_trace(5), "^expected an ActivationTrace, got 5$"),
     (lambda: format_trace(run_activation(path_graph(3), [1, 1, 1], {0}), 5),
      "^expected a Graph, got 5$"),
-], ids=["trace-int", "graph-int"])
+    # A trace of another graph names vertices this one does not have.
+    (lambda: format_trace(run_activation(cycle_graph(10), [1] * 10, {0}),
+                          load_edge_list(io.StringIO("5 9\n9 7\n"))),
+     r"^trace vertex [3-9] out of range for n=3$"),
+    (lambda: format_trace(ActivationTrace(rounds=[{-1}], active={-1}, converged_round=0),
+                          load_edge_list(io.StringIO("5 9\n9 7\n"))),
+     "^trace vertex -1 out of range for n=3$"),
+    (lambda: format_trace(run_activation(cycle_graph(10), [1] * 10, {0}), path_graph(3)),
+     r"^trace vertex [3-9] out of range for n=3$"),
+], ids=["trace-int", "graph-int", "labeled-foreign", "labeled-negative", "unlabeled-foreign"])
 def test_format_trace_rejects_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -114,6 +114,10 @@ def test_repeated_labels_rejected():
     (lambda: load_thresholds(path_graph(3), None), "expected a file path or a stream"),
     (lambda: GraphSource("edges").build(), "expected a file path or a stream"),
     (lambda: write_edge_list(path_graph(3), 5), "expected a file path or a stream"),
+    (lambda: load_edge_list(mock.Mock(read=lambda: 5)),
+     "^expected a stream of str or bytes, its read\\(\\) gave int$"),
+    (lambda: load_thresholds(path_graph(3), mock.Mock(read=lambda: 5)),
+     "^expected a stream of str or bytes, its read\\(\\) gave int$"),
     (lambda: Graph(2, [], labels=5), "labels must be an iterable of hashable ids"),
     (lambda: Graph(2, [], labels=[[1], [2]]), "labels must be an iterable of hashable ids"),
     # Only int labels order in a trace and read back from a written file.
@@ -135,7 +139,8 @@ def test_repeated_labels_rejected():
     (lambda: cycle_graph(10**30), "^cycle n must be at most sys.maxsize"),
     (lambda: clique_graph(10**30), "^clique n must be at most sys.maxsize"),
     (lambda: star_graph(10**30), "^star n must be at most sys.maxsize"),
-], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "labels-int",
+], ids=["load-int", "thresholds-none", "edges-no-path", "write-int", "load-read-int",
+        "thresholds-read-int", "labels-int",
         "labels-unhashable", "labels-str", "labels-bool", "labels-float", "clique-int",
         "sweep-int", "solve-cap-negative", "greedy-cap-negative", "solve-cap-str", "bench-str",
         "bench-none", "graph-huge", "gnp-huge", "tree-huge", "cycle-huge", "clique-huge", "star-huge"])

@@ -1,6 +1,7 @@
 """Rules that hold for every module of the package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import targetset
@@ -20,3 +21,15 @@ def test_no_module_uses_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_public_function_and_class_keeps_a_docstring():
+    # Read from the source: a dataclass without one gets a generated __doc__.
+    missing = []
+    for name in targetset.__all__:
+        obj = getattr(targetset, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            node = ast.parse(inspect.getsource(obj)).body[0]
+            if not (ast.get_docstring(node) or "").strip():
+                missing.append(name)
+    assert not missing, f"public names without a docstring: {missing}"
