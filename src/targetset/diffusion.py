@@ -5,10 +5,11 @@ round reach its threshold, and a target set activates every vertex.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, _check_graph
+from .graph import Graph, _check_graph, _vertex_ids
 from .thresholds import check_thresholds
 
 
@@ -24,23 +25,6 @@ class ActivationTrace:
     converged_round: int
 
 
-def _seed_set(g: Graph, seeds: Iterable[int]) -> set[int]:
-    """The seeds as a set, checked in input order, so the first bad seed is
-    the one named whatever the set order; anything but an iterable of int
-    vertex ids raises ``ValueError``."""
-    try:
-        ordered = iter(seeds)
-    except TypeError:
-        raise ValueError(f"seeds must be an iterable of vertex ids, got {seeds!r}") from None
-    seeds = list(ordered)
-    for v in seeds:
-        if type(v) is not int:
-            raise ValueError(f"seed vertex is not an int: {v!r}")
-        if not (0 <= v < g.n):
-            raise ValueError(f"seed vertex {v} out of range for n={g.n}")
-    return set(seeds)
-
-
 def _spread(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
     """Run the synchronous activation process to its fixpoint; return the
     active vertices in activation order and each vertex's round (-1 if it
@@ -50,7 +34,7 @@ def _spread(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> tuple[list[int]
     """
     check_thresholds(g, t)
     adj = g.adjacency
-    queue = list(_seed_set(g, seeds))
+    queue = list(set(_vertex_ids(g.n, seeds, "seed")))
     round_of = [-1 if tv else 1 for tv in t]
     for s in queue:
         round_of[s] = 0
@@ -82,22 +66,18 @@ def is_target_set(g: Graph, t: Sequence[int], seeds: Iterable[int]) -> bool:
 
 
 def format_trace(trace: ActivationTrace, g: Graph | None = None) -> str:
-    """Render a trace one line per round: ``round_index: sorted vertex ids``.
-
-    When a labeled graph is given, ids are reported in its original id space.
-    A ``trace`` that is not an :class:`ActivationTrace`, a ``g`` that is
-    neither ``None`` nor a ``Graph``, and a trace that names a vertex outside
-    ``range(g.n)`` raise ``ValueError``.
-    """
+    """Render a trace one line per round, ``i: sorted vertex ids``, in ``g``'s
+    original ids when ``g`` is given.  A non-trace ``trace``, a ``g`` neither
+    ``None`` nor a ``Graph``, rounds that are not vertex iterables and a vertex
+    outside ``range(g.n)`` (without ``g``, outside every graph's) raise ``ValueError``."""
     if not isinstance(trace, ActivationTrace):
         raise ValueError(f"expected an ActivationTrace, got {trace!r}")
     if g is not None:
         _check_graph(g)
-        bad = [v for r in trace.rounds for v in r if type(v) is not int or not 0 <= v < g.n]
-        if bad:
-            raise ValueError(f"trace vertex {bad[0]!r} out of range for n={g.n}")
-    lines = []
-    for i, round_set in enumerate(trace.rounds):
-        ids = sorted(g.original_ids(round_set) if g is not None else round_set)
-        lines.append(f"{i}: {' '.join(str(x) for x in ids)}")
-    return "\n".join(lines)
+    try:
+        rounds = list(map(list, trace.rounds))
+    except TypeError:
+        raise ValueError(f"trace rounds must be vertex iterables, got {trace.rounds!r}") from None
+    n, name = (sys.maxsize, list) if g is None else (g.n, g.original_ids)  # no Graph has n > maxsize
+    ids = [sorted(name(_vertex_ids(n, vertices, "trace"))) for vertices in rounds]
+    return "\n".join(f"{i}: {' '.join(map(str, r))}" for i, r in enumerate(ids))

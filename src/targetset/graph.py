@@ -99,10 +99,14 @@ class Graph:
                     yield (u, v)
 
     def original_id(self, v: int):
-        return self.labels[v] if self.labels is not None else v
+        """The original id of vertex ``v``; raises as ``original_ids`` does."""
+        return self.original_ids([v])[0]
 
     def original_ids(self, vertices: Iterable[int]) -> list:
-        return [self.original_id(v) for v in vertices]
+        """The original ids of ``vertices`` in input order (on an unlabeled graph,
+        the vertices).  Anything but ints in ``range(n)`` raises ``ValueError``."""
+        ids = _vertex_ids(self.n, vertices, "input")
+        return ids if self.labels is None else [self.labels[v] for v in ids]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -122,6 +126,23 @@ def _check_count(name: str, n, least: int) -> None:
     _check_int(name, n, least)
     if n > sys.maxsize:
         raise ValueError(f"{name} must be at most sys.maxsize ({sys.maxsize}), got {n}")
+
+
+def _vertex_ids(n: int, vertices: Iterable[int], what: str) -> list[int]:
+    """``vertices`` as a list in input order; the one rule for a vertex id
+    given to the package is an int (a bool is not) in ``range(n)``.  A
+    non-iterable, then the first id that breaks the rule, raises ``ValueError``."""
+    try:
+        ordered = iter(vertices)
+    except TypeError:
+        raise ValueError(f"{what}s must be an iterable of vertex ids, got {vertices!r}") from None
+    ids = list(ordered)
+    for v in ids:
+        if type(v) is not int:
+            raise ValueError(f"{what} vertex is not an int: {v!r}")
+        if not 0 <= v < n:
+            raise ValueError(f"{what} vertex {v} out of range for n={n}")
+    return ids
 
 
 def _check_graph(g) -> None:
@@ -275,9 +296,9 @@ def write_edge_list(g: Graph, target: str | Path | IO) -> None:
     original ids, so a loaded graph round-trips.  A ``target`` that is
     neither writable nor a path raises ``ValueError``."""
     _check_graph(g)
-    name = g.original_id
-    lines = [f"{name(u)} {name(v)}" for u, v in g.edges()]
-    lines += [f"{name(v)} {name(v)}" for v, nbrs in enumerate(g.adjacency) if not nbrs]
+    name = g.original_ids(range(g.n))
+    lines = [f"{name[u]} {name[v]}" for u, v in g.edges()]
+    lines += [f"{name[v]} {name[v]}" for v, nbrs in enumerate(g.adjacency) if not nbrs]
     text = "\n".join(lines) + ("\n" if lines else "")
     if hasattr(target, "write"):
         target.write(text)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, _check_graph
+from .graph import Graph
 from .thresholds import check_thresholds
 
 
@@ -77,9 +77,9 @@ def _eliminate(
     key: Callable[[int, int, int], int],
     greedy: bool = False,
 ) -> SolverReport:
-    """The elimination loop shared by ``tss_solve`` and ``greedy_tss``.
+    """The elimination loop shared by ``tss_solve`` and ``greedy_tss``, on
+    ``(g, t)`` that its caller has checked.
 
-    Raises ``ValueError`` unless ``t`` fits ``g`` (``check_thresholds``).
     An alive vertex with k = 0 leaves first (ACTIVATED, smallest id first).
     Otherwise the alive vertex of largest ``key(k, delta, v)`` leaves: SEEDED
     when ``greedy`` or k > delta, DISCARDED otherwise.  Keys are packed ints
@@ -105,7 +105,6 @@ def _eliminate(
     again once more than ``max(n >> 6, DRAIN_FLOOR)`` dead entries have been
     popped since the last build, so the total stays O(m log n).
     """
-    check_thresholds(g, t)
     n = g.n
     adj = g.adjacency
     delta = g.degrees
@@ -208,7 +207,7 @@ def tss_solve(g: Graph, t: Sequence[int]) -> SolverReport:
     always a target set, found in O(m log n) time.  A non-``Graph`` ``g`` or
     thresholds that do not fit it raise ``ValueError``.
     """
-    _check_graph(g)  # the key reads g before _eliminate checks t
+    check_thresholds(g, t)
     n = g.n
     # Ratio comparisons use the integer surrogate floor(k * scale / (d(d+1)))
     # with scale = 2*B^2 and B an upper bound on every denominator d(d+1).
@@ -241,6 +240,6 @@ def greedy_tss(g: Graph, t: Sequence[int]) -> SolverReport:
     target set.  Either way the chosen vertex is removed and every alive
     neighbor loses one degree and one threshold unit (clamped at zero).
     """
-    _check_graph(g)
+    check_thresholds(g, t)
     n = g.n
     return _eliminate(g, t, lambda k, d, v: d * n + v, greedy=True)

@@ -67,7 +67,7 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
     id space.  Every vertex must be covered exactly once; missing ones are
     listed in the error, and a repeated id is an error."""
     _check_graph(g)
-    to_internal = {g.original_id(v): v for v in range(g.n)}
+    to_internal = {orig: v for v, orig in enumerate(g.original_ids(range(g.n)))}
     values: dict[int, int] = {}
     for lineno, orig, tv in _int_pairs(_read_text(source).splitlines(), "'vertex_id threshold'"):
         v = to_internal.get(orig)
@@ -78,7 +78,7 @@ def load_thresholds(g: Graph, source: str | Path | bytes | IO) -> list[int]:
         if v in values:
             raise ValueError(f"line {lineno}: duplicate vertex id {orig}")
         values[v] = tv
-    missing = [g.original_id(v) for v in range(g.n) if v not in values]
+    missing = [orig for orig, v in to_internal.items() if v not in values]
     if missing:
         raise ValueError(f"threshold file misses vertices: {missing}")
     return [values[v] for v in range(g.n)]
